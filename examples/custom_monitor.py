@@ -42,6 +42,12 @@ class WriteProfiler(MonitorExtension):
         return config
 
     def process(self, packet: TracePacket) -> PacketOutcome:
+        """Called once per forwarded store or FLEX op with the packet
+        the interface built at commit.  Packets are immutable; besides
+        the Table II wires, ``packet.instr`` is the static decode of
+        the instruction word, for a monitor that needs the exact
+        opcode (the whole commit record, ``packet.record``, is no
+        longer carried)."""
         if packet.opcode == InstrClass.FLEX:
             outcome = self.handle_flex(packet)
             if packet.opf == FlexOpf.SET_TAGVAL:
@@ -55,9 +61,10 @@ class WriteProfiler(MonitorExtension):
         self.histogram[region] = self.histogram.get(region, 0) + 1
         lo, hi = self.red_zone
         if lo <= packet.addr < hi:
+            mnemonic = packet.instr.opcode.name.lower()
             outcome.trap = self.trap(
                 packet, "red-zone-write",
-                f"store into protected region at {packet.addr:#x}",
+                f"{mnemonic} into protected region at {packet.addr:#x}",
                 addr=packet.addr,
             )
         return outcome

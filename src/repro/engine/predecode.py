@@ -23,11 +23,14 @@ Fidelity rules the closures follow:
   allocated; the interface bookkeeping reduces to the two counters
   ``on_commit`` would have bumped.
 * *Forwarded* common instructions (policy != IGNORE) fuse the
-  functional work and the timing charge, build a fresh
-  ``CommitRecord`` per call — field-for-field what ``_execute`` would
-  have produced, fresh because trace packets retain their record —
-  and hand it to the original ``on_commit``, which owns every
-  dynamic decision (FIFO occupancy, fabric service, traps).
+  functional work and the timing charge and build their
+  :class:`~repro.flexcore.packet.TracePacket` directly — no
+  ``CommitRecord`` — field-for-field what ``from_commit`` makes of the
+  record ``_execute`` would have produced, with the static DECODE bits
+  computed once per PC.  A fused commit tail (``_make_forward``)
+  replays ``on_commit`` around the interface's own FIFO and fabric
+  service code, which own every dynamic decision (FIFO occupancy,
+  fabric service, traps).
 * The rare opcodes (FLEX, JMPL, TICC, SAVE/RESTORE, RDY/WRY, RETT,
   LDD/STD) run through the original ``CpuState._execute`` /
   ``CoreTiming.advance`` / ``on_commit`` machinery — only the fetch
@@ -47,9 +50,8 @@ never describes memory it has not read.
 from __future__ import annotations
 
 from repro.core.alu import execute_alu
-from repro.core.executor import CommitRecord
 from repro.flexcore.cfgr import ForwardPolicy
-from repro.flexcore.packet import TracePacket
+from repro.flexcore.packet import TracePacket, static_decode
 from repro.isa.encoding import decode
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Cond, Op, Op2, Op3, Op3Mem
@@ -619,19 +621,24 @@ class HandlerTable:
         return handler
 
     # ------------------------------------------------------------------
-    # Forwarded variants: same fused functional/timing work, plus a
-    # fresh CommitRecord — field-for-field what ``_execute`` builds,
-    # fresh because packets retain their record — handed to a fused
-    # commit tail (``_make_forward``) that replays ``on_commit``'s
-    # body with the policy, ack mode and static DECODE bits resolved
-    # at build time.  The dynamic machinery (FIFO occupancy,
-    # ``_service``, trap latching) stays on the original code.
+    # Forwarded variants: same fused functional/timing work, plus the
+    # trace packet built once, in place, from the values the closure
+    # already holds — field-for-field what ``TracePacket.from_commit``
+    # makes of the record ``_execute`` would build — and handed to a
+    # fused commit tail (``_make_forward``).  The dynamic machinery
+    # (FIFO occupancy, ``_service``, trap latching) stays on the
+    # interface's own code.
 
-    def _make_forward(self, pc, word, instr, klass):
-        """Fused equivalent of ``on_commit`` + ``from_commit`` for a
-        known-forwarded, never-annulled instruction.  Telemetry sinks
-        are structurally ``None`` here: the fast loop is only entered
-        with tracing and metrics disabled."""
+    def _make_forward(self, instr):
+        """Return ``(forward, decode)`` for a known-forwarded,
+        never-annulled instruction: ``forward(packet, now)`` is the
+        fused equivalent of ``on_commit`` with the policy and ack mode
+        resolved now, and ``decode`` is the instruction's static DECODE
+        bits, which the packet builder ORs the incoming carry into.
+        Shared by the per-PC closures and the superblock emitter.
+        Telemetry sinks are structurally ``None`` here: the fused
+        engines only run with tracing and metrics disabled."""
+        klass = instr.instr_class
         iface = self.system.interface
         policy = iface.cfgr.policy(klass)
         best_effort = policy == ForwardPolicy.BEST_EFFORT
@@ -641,39 +648,22 @@ class HandlerTable:
                      or iface.config.precise_exceptions)
         sync = iface.config.sync_fabric_cycles
         fifo = iface.fifo
-        is_full = fifo.is_full
         time_until_space = fifo.time_until_space
         push = fifo.push
         service = iface._service
-        base_decode = (int(instr.is_load)
-                       | (int(instr.is_store) << 1)
-                       | (int(instr.use_imm) << 2)
-                       | ((instr.opf & 0x1FF) << 3))
-        if instr.is_load or instr.is_store:
-            base_decode |= (instr.access_size() & 0xF) << 12
 
-        def forward(record, now):
+        def forward(packet, now):
             stats = iface.stats
             stats.committed += 1
-            if is_full(now):
+            wait = time_until_space(now)
+            if wait:
                 if best_effort:
                     stats.dropped += 1
                     fifo.stats.dropped += 1
                     return now
-                wait = time_until_space(now)
                 stats.fifo_stall_cycles += wait
                 fifo.stats.full_stall_cycles += wait
                 now += wait
-            packet = TracePacket(
-                pc=pc, inst=word, addr=record.addr, res=record.result,
-                srcv1=record.srcv1, srcv2=record.srcv2,
-                cond=record.cond, branch=record.branch_taken,
-                opcode=klass,
-                decode=base_decode | (int(record.carry_before) << 16),
-                extra=record.y_before, src1=record.src1_phys,
-                src2=record.src2_phys, dest=record.dest_phys,
-                record=record,
-            )
             stats.forwarded += 1
             by_class = stats.forwarded_by_class
             by_class[klass] = by_class.get(klass, 0) + 1
@@ -685,7 +675,7 @@ class HandlerTable:
                 now = ack_at
             return now
 
-        return forward
+        return forward, static_decode(instr)
 
     def _make_alu_simple_fwd(self, pc, word, instr, valfn, latency):
         (cpu, timing, iface, regs_read, regs_write, phys,
@@ -694,7 +684,7 @@ class HandlerTable:
         use_imm = instr.use_imm
         imm = instr.imm & MASK32
         klass = instr.instr_class
-        forward = self._make_forward(pc, word, instr, klass)
+        forward, decode = self._make_forward(instr)
 
         def handler(now):
             a = regs_read(rs1)
@@ -702,14 +692,10 @@ class HandlerTable:
             value = valfn(a, b)
             regs_write(rd, value)
             codes = cpu.codes
-            record = CommitRecord(
-                pc=pc, word=word, instr=instr, instr_class=klass,
-                result=value, srcv1=a, srcv2=b, cond=codes.pack(),
-                src1_phys=phys(rs1),
-                src2_phys=0 if use_imm else phys(rs2),
-                dest_phys=phys(rd),
-                carry_before=codes.c, y_before=cpu.y,
-            )
+            packet = TracePacket(
+                pc, word, 0, value, a, b, codes.pack(), False, klass,
+                decode | (codes.c << 16), cpu.y, phys(rs1),
+                0 if use_imm else phys(rs2), phys(rd), instr)
             npc = cpu.npc
             cpu.pc = npc
             cpu.npc = (npc + 4) & MASK32
@@ -731,7 +717,7 @@ class HandlerTable:
             ts.base_cycles += base
             now += base
             ts.cycles = now
-            return forward(record, now)
+            return forward(packet, now)
 
         return handler
 
@@ -743,7 +729,7 @@ class HandlerTable:
         imm = instr.imm & MASK32
         op3 = instr.opcode
         klass = instr.instr_class
-        forward = self._make_forward(pc, word, instr, klass)
+        forward, decode = self._make_forward(instr)
 
         def handler(now):
             a = regs_read(rs1)
@@ -756,15 +742,10 @@ class HandlerTable:
                 cpu.codes = alu.codes
             if alu.y is not None:
                 cpu.y = alu.y
-            record = CommitRecord(
-                pc=pc, word=word, instr=instr, instr_class=klass,
-                result=alu.value, srcv1=a, srcv2=b,
-                cond=cpu.codes.pack(),
-                src1_phys=phys(rs1),
-                src2_phys=0 if use_imm else phys(rs2),
-                dest_phys=phys(rd),
-                carry_before=carry_before, y_before=y_before,
-            )
+            packet = TracePacket(
+                pc, word, 0, alu.value, a, b, cpu.codes.pack(), False,
+                klass, decode | (carry_before << 16), y_before,
+                phys(rs1), 0 if use_imm else phys(rs2), phys(rd), instr)
             npc = cpu.npc
             cpu.pc = npc
             cpu.npc = (npc + 4) & MASK32
@@ -786,7 +767,7 @@ class HandlerTable:
             ts.base_cycles += base
             now += base
             ts.cycles = now
-            return forward(record, now)
+            return forward(packet, now)
 
         return handler
 
@@ -798,7 +779,7 @@ class HandlerTable:
         imm = instr.imm & MASK32
         op3 = instr.opcode
         klass = instr.instr_class
-        forward = self._make_forward(pc, word, instr, klass)
+        forward, decode = self._make_forward(instr)
         dcache_read = timing.dcache.read
         memory = self.system.memory
         read_word = self._read_word
@@ -827,15 +808,10 @@ class HandlerTable:
             value = loadfn(addr)
             regs_write(rd, value)
             codes = cpu.codes
-            record = CommitRecord(
-                pc=pc, word=word, instr=instr, instr_class=klass,
-                addr=addr, result=value, srcv1=a, srcv2=b,
-                cond=codes.pack(),
-                src1_phys=phys(rs1),
-                src2_phys=0 if use_imm else phys(rs2),
-                dest_phys=phys(rd),
-                carry_before=codes.c, y_before=cpu.y,
-            )
+            packet = TracePacket(
+                pc, word, addr, value, a, b, codes.pack(), False, klass,
+                decode | (codes.c << 16), cpu.y, phys(rs1),
+                0 if use_imm else phys(rs2), phys(rd), instr)
             npc = cpu.npc
             cpu.pc = npc
             cpu.npc = (npc + 4) & MASK32
@@ -861,7 +837,7 @@ class HandlerTable:
                 ts.dcache_stall += done - now
                 now = done
             ts.cycles = now
-            return forward(record, now)
+            return forward(packet, now)
 
         return handler
 
@@ -873,7 +849,7 @@ class HandlerTable:
         imm = instr.imm & MASK32
         op3 = instr.opcode
         klass = instr.instr_class
-        forward = self._make_forward(pc, word, instr, klass)
+        forward, decode = self._make_forward(instr)
         dcache_write = timing.dcache.write
         sb_push = timing.store_buffer.push
         memory = self.system.memory
@@ -896,15 +872,10 @@ class HandlerTable:
                 # Self-modifying code: re-predecode the touched word.
                 invalidate(addr)
             codes = cpu.codes
-            record = CommitRecord(
-                pc=pc, word=word, instr=instr, instr_class=klass,
-                addr=addr, result=value, srcv1=a, srcv2=b,
-                cond=codes.pack(),
-                src1_phys=phys(rs1),
-                src2_phys=0 if use_imm else phys(rs2),
-                dest_phys=phys(rd),
-                carry_before=codes.c, y_before=cpu.y,
-            )
+            packet = TracePacket(
+                pc, word, addr, value, a, b, codes.pack(), False, klass,
+                decode | (codes.c << 16), cpu.y, phys(rs1),
+                0 if use_imm else phys(rs2), phys(rd), instr)
             npc = cpu.npc
             cpu.pc = npc
             cpu.npc = (npc + 4) & MASK32
@@ -931,7 +902,7 @@ class HandlerTable:
             ts.store_stall += proceed - now
             now = proceed
             ts.cycles = now
-            return forward(record, now)
+            return forward(packet, now)
 
         return handler
 
@@ -943,16 +914,14 @@ class HandlerTable:
         annul = instr.annul
         annul_taken = instr.annul and instr.cond == Cond.BA
         klass = instr.instr_class
-        forward = self._make_forward(pc, word, instr, klass)
+        forward, decode = self._make_forward(instr)
 
         def handler(now):
             codes = cpu.codes
             taken = cond_eval(codes)
-            record = CommitRecord(
-                pc=pc, word=word, instr=instr, instr_class=klass,
-                addr=target, branch_taken=taken, cond=codes.pack(),
-                carry_before=codes.c, y_before=cpu.y,
-            )
+            packet = TracePacket(
+                pc, word, target, 0, 0, 0, codes.pack(), taken, klass,
+                decode | (codes.c << 16), cpu.y, 0, 0, 0, instr)
             if taken:
                 if annul_taken:
                     cpu._annul_next = True
@@ -977,7 +946,7 @@ class HandlerTable:
             ts.base_cycles += latency
             now += latency
             ts.cycles = now
-            return forward(record, now)
+            return forward(packet, now)
 
         return handler
 
@@ -987,16 +956,14 @@ class HandlerTable:
         rd = instr.rd
         value = (instr.imm << 10) & MASK32
         klass = instr.instr_class
-        forward = self._make_forward(pc, word, instr, klass)
+        forward, decode = self._make_forward(instr)
 
         def handler(now):
             regs_write(rd, value)
             codes = cpu.codes
-            record = CommitRecord(
-                pc=pc, word=word, instr=instr, instr_class=klass,
-                result=value, cond=codes.pack(), dest_phys=phys(rd),
-                carry_before=codes.c, y_before=cpu.y,
-            )
+            packet = TracePacket(
+                pc, word, 0, value, 0, 0, codes.pack(), False, klass,
+                decode | (codes.c << 16), cpu.y, 0, 0, phys(rd), instr)
             npc = cpu.npc
             cpu.pc = npc
             cpu.npc = (npc + 4) & MASK32
@@ -1012,7 +979,7 @@ class HandlerTable:
             ts.base_cycles += latency
             now += latency
             ts.cycles = now
-            return forward(record, now)
+            return forward(packet, now)
 
         return handler
 
@@ -1021,17 +988,14 @@ class HandlerTable:
          icache_read, refill) = self._context()
         target = (pc + 4 * instr.disp) & MASK32
         klass = instr.instr_class
-        forward = self._make_forward(pc, word, instr, klass)
+        forward, decode = self._make_forward(instr)
 
         def handler(now):
             regs_write(15, pc)  # %o7 <- address of the call
             codes = cpu.codes
-            record = CommitRecord(
-                pc=pc, word=word, instr=instr, instr_class=klass,
-                addr=target, result=pc, branch_taken=True,
-                cond=codes.pack(), dest_phys=phys(15),
-                carry_before=codes.c, y_before=cpu.y,
-            )
+            packet = TracePacket(
+                pc, word, target, pc, 0, 0, codes.pack(), True, klass,
+                decode | (codes.c << 16), cpu.y, 0, 0, phys(15), instr)
             npc = cpu.npc
             cpu.pc = npc
             cpu.npc = target
@@ -1047,7 +1011,7 @@ class HandlerTable:
             ts.base_cycles += latency
             now += latency
             ts.cycles = now
-            return forward(record, now)
+            return forward(packet, now)
 
         return handler
 
@@ -1120,8 +1084,9 @@ class SuperblockTable(HandlerTable):
     Fidelity contract (the differential and golden tests enforce it):
 
     * member order, arithmetic, cache/bus/store-buffer charging and
-      CommitRecord construction are transcribed from the per-PC
-      closures verbatim, so results are bit-identical;
+      trace-packet construction are transcribed from the per-PC
+      closures verbatim, and forwarded members share the per-PC
+      commit tail (``_make_forward``), so results are bit-identical;
     * after every *forwarded* member the run re-checks
       ``pending_trap`` exactly where the dispatch loop would, and
       before every member after the first it re-checks the cycle
@@ -1229,7 +1194,7 @@ class SuperblockTable(HandlerTable):
             "DCW": timing.dcache.write,
             "SBP": timing.store_buffer.push,
             "RF": system.bus.line_refill,
-            "CR": CommitRecord,
+            "TP": TracePacket,
             "EA": execute_alu,
             "INV": self.invalidate,
         }
@@ -1339,10 +1304,11 @@ class SuperblockTable(HandlerTable):
         npc = (addr + 4) & MASK32
 
         if forwarded:
-            klass = instr.instr_class
             ns[f"I{k}"] = instr
-            ns[f"K{k}"] = klass
-            ns[f"F{k}"] = self._make_forward(addr, word, instr, klass)
+            ns[f"K{k}"] = instr.instr_class
+            ns[f"F{k}"], decode = self._make_forward(instr)
+            src_regs = (f"P({rs1}), {0 if use_imm else f'P({rs2})'}, "
+                        f"P({rd})")
 
         def emit_ifetch():
             emit(ind + "now = int(now)")
@@ -1377,10 +1343,18 @@ class SuperblockTable(HandlerTable):
             emit(ind + f"bc += {latency}")
             emit(ind + f"now += {latency}")
 
+        def emit_packet(target="0", res="0", srcs="0, 0", taken="False",
+                        regs="0, 0, 0", cond="codes.pack()",
+                        carry="codes.c", y="cpu.y"):
+            # Positional TracePacket fields, in Table II order.
+            emit(ind + f"packet = TP({addr}, {word}, {target}, {res}, "
+                 f"{srcs}, {cond}, {taken}, K{k}, "
+                 f"{decode} | ({carry} << 16), {y}, {regs}, I{k})")
+
         def emit_commit():
             if forwarded:
                 emit(ind + "cyc = now")
-                emit(ind + f"now = F{k}(record, now)")
+                emit(ind + f"now = F{k}(packet, now)")
             else:
                 emit(ind + "cyc = now")
                 if monitored:
@@ -1394,13 +1368,7 @@ class SuperblockTable(HandlerTable):
             emit(ind + f"W({rd}, value)")
             if forwarded:
                 emit(ind + "codes = cpu.codes")
-                emit(ind + f"record = CR(pc={addr}, "
-                     f"word={word}, instr=I{k}, instr_class=K{k}, "
-                     f"addr=addr, result=value, srcv1=a, srcv2=b, "
-                     f"cond=codes.pack(), src1_phys=P({rs1}), "
-                     f"src2_phys={0 if use_imm else f'P({rs2})'}, "
-                     f"dest_phys=P({rd}), carry_before=codes.c, "
-                     f"y_before=cpu.y)")
+                emit_packet("addr", "value", "a, b", regs=src_regs)
             emit_ifetch()
             emit_interlock(load_dest=True)
             emit(ind + "if not DC(addr):")
@@ -1418,13 +1386,7 @@ class SuperblockTable(HandlerTable):
             emit(ind + "    INV(addr)")
             if forwarded:
                 emit(ind + "codes = cpu.codes")
-                emit(ind + f"record = CR(pc={addr}, "
-                     f"word={word}, instr=I{k}, instr_class=K{k}, "
-                     f"addr=addr, result=value, srcv1=a, srcv2=b, "
-                     f"cond=codes.pack(), src1_phys=P({rs1}), "
-                     f"src2_phys={0 if use_imm else f'P({rs2})'}, "
-                     f"dest_phys=P({rd}), carry_before=codes.c, "
-                     f"y_before=cpu.y)")
+                emit_packet("addr", "value", "a, b", regs=src_regs)
             emit_ifetch()
             emit_interlock(include_rd=True)
             emit(ind + "DCW(addr)")
@@ -1440,11 +1402,7 @@ class SuperblockTable(HandlerTable):
             if forwarded:
                 emit(ind + "codes = cpu.codes")
                 emit(ind + f"taken = C{k}(codes)")
-                emit(ind + f"record = CR(pc={addr}, "
-                     f"word={word}, instr=I{k}, instr_class=K{k}, "
-                     f"addr={target}, branch_taken=taken, "
-                     f"cond=codes.pack(), carry_before=codes.c, "
-                     f"y_before=cpu.y)")
+                emit_packet(target, taken="taken")
                 emit(ind + "if taken:")
             else:
                 emit(ind + f"if C{k}(cpu.codes):")
@@ -1465,12 +1423,7 @@ class SuperblockTable(HandlerTable):
             if forwarded:
                 emit(ind + f"W(15, {addr})")
                 emit(ind + "codes = cpu.codes")
-                emit(ind + f"record = CR(pc={addr}, "
-                     f"word={word}, instr=I{k}, instr_class=K{k}, "
-                     f"addr={target}, result={addr}, "
-                     f"branch_taken=True, cond=codes.pack(), "
-                     f"dest_phys=P(15), carry_before=codes.c, "
-                     f"y_before=cpu.y)")
+                emit_packet(target, addr, taken="True", regs="0, 0, P(15)")
             else:
                 emit(ind + f"W(15, {addr})")
             emit(ind + f"cpu.pc = {npc}")
@@ -1483,11 +1436,7 @@ class SuperblockTable(HandlerTable):
             emit(ind + f"W({rd}, {value})")
             if forwarded:
                 emit(ind + "codes = cpu.codes")
-                emit(ind + f"record = CR(pc={addr}, "
-                     f"word={word}, instr=I{k}, instr_class=K{k}, "
-                     f"result={value}, cond=codes.pack(), "
-                     f"dest_phys=P({rd}), carry_before=codes.c, "
-                     f"y_before=cpu.y)")
+                emit_packet(res=value, regs=f"0, 0, P({rd})")
             emit_ifetch()
             emit_flat_latency()
             emit_commit()
@@ -1503,13 +1452,7 @@ class SuperblockTable(HandlerTable):
                 emit(ind + f"value = V{k}(a, b)")
                 emit(ind + f"W({rd}, value)")
                 emit(ind + "codes = cpu.codes")
-                emit(ind + f"record = CR(pc={addr}, "
-                     f"word={word}, instr=I{k}, instr_class=K{k}, "
-                     f"result=value, srcv1=a, srcv2=b, "
-                     f"cond=codes.pack(), src1_phys=P({rs1}), "
-                     f"src2_phys={0 if use_imm else f'P({rs2})'}, "
-                     f"dest_phys=P({rd}), carry_before=codes.c, "
-                     f"y_before=cpu.y)")
+                emit_packet(res="value", srcs="a, b", regs=src_regs)
             else:
                 ns[f"O{k}"] = instr.opcode
                 if forwarded:
@@ -1526,13 +1469,9 @@ class SuperblockTable(HandlerTable):
                 emit(ind + "if alu.y is not None:")
                 emit(ind + "    cpu.y = alu.y")
                 if forwarded:
-                    emit(ind + f"record = CR(pc={addr}, "
-                         f"word={word}, instr=I{k}, instr_class=K{k}, "
-                         f"result=alu.value, srcv1=a, srcv2=b, "
-                         f"cond=cpu.codes.pack(), src1_phys=P({rs1}), "
-                         f"src2_phys={0 if use_imm else f'P({rs2})'}, "
-                         f"dest_phys=P({rd}), carry_before="
-                         f"carry_before, y_before=y_before)")
+                    emit_packet(res="alu.value", srcs="a, b",
+                                regs=src_regs, cond="cpu.codes.pack()",
+                                carry="carry_before", y="y_before")
             emit_ifetch()
             emit_interlock()
             emit_commit()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.flexcore.cfgr import ForwardConfig
 from repro.flexcore.packet import TracePacket
@@ -49,8 +50,7 @@ class MonitorTrap:
         )
 
 
-@dataclass(frozen=True)
-class MetaAccess:
+class MetaAccess(NamedTuple):
     """One meta-data cache access caused by a packet."""
 
     kind: str  # "read" | "write"

@@ -52,10 +52,10 @@ class SoftErrorCheck(MonitorExtension):
             return self.handle_flex(packet)
 
         outcome = PacketOutcome()
-        record = packet.record
-        if record is None or record.instr.opcode is None:
+        instr = packet.instr
+        if instr is None:
             return outcome
-        op3 = record.instr.opcode
+        op3 = instr.opcode
         if not isinstance(op3, Op3):
             return outcome
 

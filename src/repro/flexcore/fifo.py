@@ -62,23 +62,31 @@ class DecouplingFifo:
         return self.occupancy(now) >= self.depth
 
     def time_until_space(self, now: int) -> int:
-        """Cycles the core must wait before a slot frees up."""
-        if not self.is_full(now):
+        """Cycles the core must wait before a slot frees up: 0 while a
+        slot is free at ``now``, so a nonzero wait means the FIFO is
+        full.  This is the one occupancy check a commit needs."""
+        drains = self._drains
+        while drains and drains[0] <= now:
+            drains.popleft()
+        if len(drains) < self.depth:
             return 0
-        return self._drains[0] - now
+        return drains[0] - now
 
     def push(self, now: int, drain_time: int) -> None:
         """Insert a packet that the fabric will drain at ``drain_time``.
 
         The caller must have ensured space (policy-dependent).
         """
-        if self.is_full(now):
+        drains = self._drains
+        while drains and drains[0] <= now:
+            drains.popleft()
+        if len(drains) >= self.depth:
             raise OverflowError("push into a full FIFO")
         if drain_time < now:
             raise ValueError("drain time before enqueue time")
-        self._drains.append(drain_time)
+        drains.append(drain_time)
         self.stats.enqueued += 1
-        occupancy = len(self._drains)
+        occupancy = len(drains)
         if occupancy > self.stats.max_occupancy:
             self.stats.max_occupancy = occupancy
         tracer = self._tracer

@@ -126,6 +126,12 @@ class CoreFabricInterface:
         self.extension = extension
         self.bus = bus
         self.config = config or InterfaceConfig()
+        # The fabric clock is fixed at construction: the period is
+        # derived (and the ratio re-validated, in case the config was
+        # mutated after its own checks) exactly once, and so is the
+        # clock-domain crossing delay, in core cycles.
+        self._period = self.config.fabric_period
+        self._sync_delay = self.config.sync_fabric_cycles * self._period
         self.cfgr = extension.forward_config()
         self.fifo = DecouplingFifo(self.config.fifo_depth)
         self.meta_cache = MetadataCache(self.config.meta_cache)
@@ -170,15 +176,10 @@ class CoreFabricInterface:
 
     # ------------------------------------------------------------------
 
-    def _fabric_edge(self, time: float) -> float:
-        """Next fabric clock edge at or after ``time``."""
-        period = self.config.fabric_period
-        return math.ceil(time / period) * period
-
     def _service(self, packet: TracePacket, enqueue_time: float) -> float:
         """Run the packet through the fabric; return its drain time."""
         config = self.config
-        period = config.fabric_period
+        period = self._period
         outcome = self.extension.process(packet)
 
         cycles = outcome.fabric_cycles
@@ -186,10 +187,9 @@ class CoreFabricInterface:
             cycles += config.decode_penalty
 
         # The packet crosses the clock domain, then waits for the
-        # fabric engine to be free.
-        earliest = self._fabric_edge(
-            enqueue_time + config.sync_fabric_cycles * period
-        )
+        # fabric engine to be free (from the next fabric clock edge).
+        earliest = math.ceil(
+            (enqueue_time + self._sync_delay) / period) * period
         start = max(self._fabric_free, earliest)
         time = start + cycles * period
 
@@ -197,21 +197,23 @@ class CoreFabricInterface:
         # the line is refilled over the shared bus; writes go through
         # write-through posted writes that occupy the bus but do not
         # stall the fabric.
-        for access in outcome.meta_accesses:
-            time = self._tlb_lookup(access.addr, time)
-            if access.kind == "read":
-                if not self.meta_cache.read(access.addr):
+        tlb = config.meta_tlb_entries > 0
+        for kind, addr, mask in outcome.meta_accesses:
+            if tlb:
+                time = self._tlb_lookup(addr, time)
+            if kind == "read":
+                if not self.meta_cache.read(addr):
                     done = self.bus.line_refill(int(time), "meta-refill")
                     self.stats.meta_stall_cycles += done - time
                     if self._tracer is not None:
                         self._tracer.span(time, done - time, "mcache",
                                           "mcache.refill",
-                                          addr=access.addr)
+                                          addr=addr)
                     if self._m_meta_refill is not None:
                         self._m_meta_refill.inc(done - time)
                     time = done
             else:
-                self.meta_cache.write_bits(access.addr, access.mask)
+                self.meta_cache.write_bits(addr, mask)
                 self.bus.word_write(int(time), "meta-write")
 
         self.stats.fabric_busy_cycles += time - start
@@ -229,10 +231,8 @@ class CoreFabricInterface:
     def _tlb_lookup(self, addr: int, time: float) -> float:
         """Translate a meta-data address; a miss costs a table walk
         over the shared bus.  Disabled (zero entries) by default, like
-        the paper's prototype."""
+        the paper's prototype; only called when enabled."""
         entries = self.config.meta_tlb_entries
-        if entries <= 0:
-            return time
         page = addr >> 12
         if page in self._tlb:
             self._tlb.remove(page)
@@ -275,7 +275,8 @@ class CoreFabricInterface:
                 and record.instr.opf == FlexOpf.READ_STATUS)
         )
 
-        if self.fifo.is_full(now):
+        wait = self.fifo.time_until_space(now)
+        if wait:
             if policy == ForwardPolicy.BEST_EFFORT:
                 stats.dropped += 1
                 self.fifo.stats.dropped += 1
@@ -285,7 +286,6 @@ class CoreFabricInterface:
                 if self._m_dropped is not None:
                     self._m_dropped.inc()
                 return now
-            wait = self.fifo.time_until_space(now)
             stats.fifo_stall_cycles += wait
             self.fifo.stats.full_stall_cycles += wait
             if self._tracer is not None:

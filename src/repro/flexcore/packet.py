@@ -11,9 +11,10 @@ to implement a SPARC decoder in LUTs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.executor import CommitRecord
+from repro.isa.instruction import Instruction
 from repro.isa.opcodes import InstrClass
 
 #: Field widths in bits, straight from Table II.  Used by the area
@@ -38,9 +39,32 @@ PACKET_FIELD_BITS = {
 PACKET_BITS = sum(PACKET_FIELD_BITS.values())
 
 
-@dataclass(frozen=True)
-class TracePacket:
-    """One forward-FIFO entry."""
+def static_decode(instr: Instruction) -> int:
+    """The DECODE bits fixed by the instruction word alone.
+
+    DECODE carries miscellaneous pre-decoded control signals; we pack
+    the fields a monitoring engine typically needs.  Only bit 16, the
+    incoming carry, depends on the dynamic state, so a packet's DECODE
+    is ``static_decode(instr) | (carry_in << 16)`` and the static part
+    can be computed once per instruction word.
+    """
+    decode = (int(instr.is_load)
+              | (int(instr.is_store) << 1)
+              | (int(instr.use_imm) << 2)
+              | ((instr.opf & 0x1FF) << 3))
+    if instr.is_load or instr.is_store:
+        decode |= (instr.access_size() & 0xF) << 12
+    return decode
+
+
+class TracePacket(NamedTuple):
+    """One forward-FIFO entry.
+
+    Immutable: the interface assembles each packet once, at commit,
+    from the values the commit stage holds, and nothing downstream may
+    alter it.  The fields are the Table II wires in order, plus the
+    non-wire ``instr``.
+    """
 
     pc: int
     inst: int  # raw instruction word (INST)
@@ -56,25 +80,16 @@ class TracePacket:
     src1: int  # decoded physical source register numbers (9 bits)
     src2: int
     dest: int  # decoded physical destination register number
-    #: not a wire — kept so extensions can dispatch without re-decoding
-    #: in the *simulator* even when modelling a fabric-side decoder.
-    record: CommitRecord | None = None
+    #: not a wire — the static decode of ``inst``, kept so extensions
+    #: can dispatch on the exact opcode without re-decoding in the
+    #: *simulator* even when modelling a fabric-side decoder.
+    instr: Instruction | None = None
 
     @classmethod
     def from_commit(cls, record: CommitRecord) -> "TracePacket":
         """Build the packet the interface module would assemble at the
-        commit stage."""
+        commit stage for a committed (never an annulled) instruction."""
         instr = record.instr
-        # DECODE carries miscellaneous pre-decoded control signals; we
-        # pack the fields a monitoring engine typically needs.
-        decode = 0
-        decode |= int(record.is_load) << 0
-        decode |= int(record.is_store) << 1
-        decode |= int(instr.use_imm) << 2
-        decode |= (instr.opf & 0x1FF) << 3
-        if record.is_load or record.is_store:
-            decode |= (instr.access_size() & 0xF) << 12
-        decode |= int(record.carry_before) << 16
         return cls(
             pc=record.pc,
             inst=record.word,
@@ -85,12 +100,13 @@ class TracePacket:
             cond=record.cond,
             branch=record.branch_taken,
             opcode=record.instr_class,
-            decode=decode,
+            decode=(static_decode(instr)
+                    | (int(record.carry_before) << 16)),
             extra=record.y_before,
             src1=record.src1_phys,
             src2=record.src2_phys,
             dest=record.dest_phys,
-            record=record,
+            instr=instr,
         )
 
     @property

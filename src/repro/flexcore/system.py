@@ -589,9 +589,8 @@ def run_program(
     default is the config's engine (``fast`` unless overridden).
     """
     if config is None:
-        config = SystemConfig()
-        config.interface.clock_ratio = clock_ratio
-        config.interface.fifo_depth = fifo_depth
+        config = SystemConfig(interface=InterfaceConfig(
+            clock_ratio=clock_ratio, fifo_depth=fifo_depth))
     system = FlexCoreSystem(program, extension, config,
                             telemetry=telemetry)
     return system.run(

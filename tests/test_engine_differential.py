@@ -4,7 +4,7 @@ For any program, extension, and watchdog configuration the fused
 predecoded loop (``engine="fast"``) and the block-compiled loop
 (``engine="superblock"``) must be observationally identical to the
 reference loop: same ``run_digest``, same trap/error strings, same
-termination, same recovery count.  Four layers:
+termination, same recovery count.  Five layers:
 
 * a hypothesis property over random programs (ALU/memory/branch mixes,
   annulled delay slots, undecodable words) under a drawn extension;
@@ -15,8 +15,13 @@ termination, same recovery count.  Four layers:
   reference-loop run;
 * directed superblock adversaries: self-modifying stores that patch a
   compiled block from inside it, traps raised mid-block, and
-  checkpoint boundaries landing inside a block.
+  checkpoint boundaries landing inside a block;
+* packet streams: every trace packet handed to the extension, on all
+  its fields, including those no shipped monitor reads (digests cannot
+  see a field the extension ignores).
 """
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +33,10 @@ from repro.evaluation.config import (
     experiment_system_config,
 )
 from repro.extensions import EXTENSION_NAMES, create_extension
+from repro.flexcore.cfgr import ForwardPolicy
 from repro.flexcore.system import FlexCoreSystem
 from repro.isa.assembler import assemble
+from repro.isa.opcodes import ALU_CLASSES
 from repro.mdl import load_spec, shipped_specs
 from repro.telemetry.summary import result_fingerprint, run_digest
 from repro.workloads import build_workload, workload_names
@@ -399,3 +406,70 @@ def test_record_hooks_fall_back_to_reference_loop():
     assert len(seen) == hooked.instructions
     assert result_fingerprint(hooked) == result_fingerprint(fast)
     assert run_digest(hooked) == run_digest(fast)
+
+
+# ---------------------------------------------------------------------------
+# Layer 5: the packet stream each engine hands to the extension.
+
+
+def _recorded_run(program, extension, engine, config, policy=None):
+    """Run with ``extension.process`` wrapped in a recorder; return
+    the result and every packet the fabric was handed, in order."""
+    monitor = create_extension(extension)
+    packets = []
+    process = monitor.process
+
+    def recording(packet):
+        packets.append(packet)
+        return process(packet)
+
+    monitor.process = recording
+    system = FlexCoreSystem(program, monitor, config)
+    if policy is not None:
+        system.interface.cfgr.set_classes(ALU_CLASSES, policy)
+    return system.run_bounded(engine=engine), packets
+
+
+def _assert_same_packets(program, extension, config, policy=None):
+    reference, expected = _recorded_run(program, extension, "reference",
+                                        config, policy)
+    assert expected, "no packets reached the fabric"
+    # repr distinguishes what == would not: an InstrClass from a bare
+    # int in OPCODE, a bool from an int in BRANCH.
+    expected_repr = [repr(packet) for packet in expected]
+    for engine in FUSED_ENGINES:
+        result, packets = _recorded_run(program, extension, engine,
+                                        config, policy)
+        assert result.engine == engine
+        assert len(packets) == len(expected)
+        for index, (want, got) in enumerate(zip(expected, packets)):
+            assert got == want, (engine, index)  # instr included
+        assert [repr(packet) for packet in packets] == expected_repr
+        _assert_identical(reference, result)
+    return reference
+
+
+@pytest.mark.parametrize("extension", ("umc", "dift", "bc", "sec"))
+@pytest.mark.parametrize("workload", ("bitcount", "crc32"))
+def test_packet_streams_identical(workload, extension):
+    program = build_workload(workload, 0.0625).build()
+    config = experiment_system_config(
+        clock_ratio=FLEXCORE_RATIOS[extension])
+    _assert_same_packets(program, extension, config)
+
+
+def test_packet_streams_identical_with_best_effort_drops():
+    program = build_workload("crc32", 0.0625).build()
+    config = experiment_system_config(clock_ratio=0.25, fifo_depth=2)
+    reference = _assert_same_packets(program, "sec", config,
+                                     ForwardPolicy.BEST_EFFORT)
+    assert reference.interface_stats.dropped > 0
+
+
+def test_packet_streams_identical_with_precise_exceptions():
+    program = build_workload("bitcount", 0.0625).build()
+    config = experiment_system_config(clock_ratio=0.5)
+    config = dataclasses.replace(config, interface=dataclasses.replace(
+        config.interface, precise_exceptions=True))
+    reference = _assert_same_packets(program, "dift", config)
+    assert reference.interface_stats.ack_stall_cycles > 0

@@ -78,6 +78,21 @@ class TestBoundaryDrain:
         assert fifo.time_until_space(4) == 6
         assert fifo.time_until_space(10) == 0  # exactly free now
 
+    def test_time_until_space_zero_exactly_when_a_slot_is_free(self):
+        for now in (4, 9, 10, 11):
+            fifo = DecouplingFifo(1)
+            fifo.push(0, 10)
+            free = fifo.occupancy(now) < fifo.depth
+            assert (fifo.time_until_space(now) == 0) == free
+
+    def test_push_into_full_fifo_raises_without_prior_check(self):
+        fifo = DecouplingFifo(1)
+        fifo.push(0, 10)
+        with pytest.raises(OverflowError):
+            fifo.push(9, 12)
+        fifo.push(10, 12)  # the push itself drains the slot freed at 10
+        assert fifo.stats.enqueued == 2
+
     def test_push_at_freed_boundary_slot(self):
         fifo = DecouplingFifo(1)
         fifo.push(0, 10)

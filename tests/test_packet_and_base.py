@@ -93,6 +93,27 @@ skip:   ta      0
         assert not branch.branch
 
 
+class TestPacketContract:
+    PROGRAM = """
+        .text
+start:  set     0x90000, %g1
+        ld      [%g1], %o0
+        ta      0
+        nop
+"""
+
+    def test_fields_cannot_be_assigned(self):
+        _, packet = packets_for(self.PROGRAM)[0]
+        with pytest.raises(AttributeError):
+            packet.pc = 0
+        with pytest.raises(AttributeError):
+            packet.instr = None
+
+    def test_from_commit_keeps_the_static_decode(self):
+        for record, packet in packets_for(self.PROGRAM):
+            assert packet.instr is record.instr
+
+
 class TestPacketOutcome:
     def test_fluent_accessors(self):
         outcome = PacketOutcome().read(0x100).write(0x104, 0xF)

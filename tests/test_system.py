@@ -166,3 +166,29 @@ class TestDeterminism:
         second = run_program(program, create_extension("dift"))
         assert first.cycles == second.cycles
         assert first.instructions == second.instructions
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("extension", [None, "sec"])
+    @pytest.mark.parametrize("kwargs", [
+        {"clock_ratio": 2.0}, {"clock_ratio": 0}, {"clock_ratio": -1},
+        {"fifo_depth": 0}, {"fifo_depth": -1},
+    ])
+    def test_run_program_rejects_bad_interface_values(self, kwargs,
+                                                      extension):
+        program = assemble(COUNT_PROGRAM, entry="start")
+        monitor = create_extension(extension) if extension else None
+        with pytest.raises(ValueError):
+            run_program(program, monitor, **kwargs)
+
+    @pytest.mark.parametrize("ratio", [2.0, 0, -1])
+    def test_ratio_mutated_after_validation_fails_at_construction(
+            self, ratio):
+        """A ratio poked past ``InterfaceConfig``'s own checks is
+        caught when the interface fixes its fabric clock, before any
+        instruction runs."""
+        config = SystemConfig()
+        config.interface.clock_ratio = ratio
+        program = assemble(COUNT_PROGRAM, entry="start")
+        with pytest.raises(ValueError, match="clock ratio"):
+            FlexCoreSystem(program, create_extension("dift"), config)
