@@ -46,6 +46,7 @@ import sys
 from repro.core.executor import SimulationError
 from repro.extensions import create_extension
 from repro.flexcore import run_program
+from repro.flexcore.system import ENGINES
 from repro.isa import assemble, disassemble_program
 
 #: exit codes: 0 ok, 2 monitor trap / usage error (argparse's own
@@ -625,10 +626,10 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Time the fast and superblock engines against the reference loop
-    (and, with --campaign, a warm fault campaign against the cold
-    baseline) and verify every digest is bit-identical; nonzero exit
-    on divergence."""
+    """Time the fast engine against the reference loop (and, with
+    --campaign, a warm fault campaign against the cold baseline) and
+    verify every digest is bit-identical; nonzero exit on
+    divergence."""
     import json
 
     from repro.engine.bench import format_bench, run_bench
@@ -1021,9 +1022,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the canonical RunResult digest (CI golden check)",
     )
     run_cmd.add_argument(
-        "--engine", choices=("fast", "reference", "superblock"),
+        "--engine", choices=ENGINES,
         default=None,
-        help="execution engine (default fast; all are bit-identical)",
+        help="execution engine (default fast; both are bit-identical)",
     )
     run_cmd.set_defaults(handler=cmd_run)
 
@@ -1075,7 +1076,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print the one-screen metrics summary",
     )
     trace_cmd.add_argument(
-        "--engine", choices=("fast", "reference", "superblock"),
+        "--engine", choices=ENGINES,
         default=None,
         help="execution engine (tracing forces the reference loop)",
     )
@@ -1191,9 +1192,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument("--jobs", type=int, default=1,
                            help="worker processes")
     sweep_cmd.add_argument(
-        "--engine", choices=("fast", "reference", "superblock"),
+        "--engine", choices=ENGINES,
         default="fast",
-        help="execution engine (all are bit-identical)",
+        help="execution engine (both are bit-identical)",
     )
     sweep_cmd.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -1272,9 +1273,9 @@ def build_parser() -> argparse.ArgumentParser:
     explore_cmd.add_argument("--jobs", type=int, default=1,
                              help="worker processes")
     explore_cmd.add_argument(
-        "--engine", choices=("fast", "reference", "superblock"),
+        "--engine", choices=ENGINES,
         default="fast",
-        help="execution engine (all are bit-identical)",
+        help="execution engine (both are bit-identical)",
     )
     explore_cmd.add_argument(
         "--journal", default=None, metavar="DIR",
@@ -1301,8 +1302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_cmd = commands.add_parser(
         "bench",
-        help="time the fast and superblock engines against the "
-             "reference loop",
+        help="time the fast engine against the reference loop",
     )
     bench_cmd.add_argument(
         "--quick", action="store_true",

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.alu import ConditionCodes, execute_alu
-from repro.isa.encoding import decode
+from repro.isa.encoding import EncodingError, decode
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Cond, FlexOpf, InstrClass, Op, Op2, Op3, Op3Mem
 from repro.isa.registers import (
@@ -246,7 +246,8 @@ class CpuState:
         except SimulationError as err:
             self._attach_context(err, pc)
             raise
-        except (MemoryFault, WindowOverflow, WindowUnderflow) as err:
+        except (MemoryFault, WindowOverflow, WindowUnderflow,
+                EncodingError) as err:
             wrapped = SimulationError(str(err))
             self._attach_context(wrapped, pc)
             raise wrapped from err

@@ -4,8 +4,11 @@ Three pieces:
 
 * :mod:`repro.engine.predecode` / :mod:`repro.engine.fastloop` — the
   per-PC fused handler closures and the flattened hot loop behind
-  ``engine="fast"`` (selected via ``SystemConfig.engine`` or the
-  ``engine=`` argument of ``run_program``/``run``/``run_bounded``).
+  ``engine="fast"``, the one fused engine (selected via
+  ``SystemConfig.engine`` or the ``engine=`` argument of
+  ``run_program``/``run``/``run_bounded``; the other engine,
+  ``reference``, is the step/advance/on_commit loop it is checked
+  against).
 * :mod:`repro.engine.pool` / :mod:`repro.engine.supervisor` — the
   shared supervised process-pool fan-out used by fault-injection
   campaigns and sweeps alike: per-task deadlines, worker-death
@@ -17,9 +20,11 @@ Three pieces:
 
 The fast engine's contract is *observational invariance*: for any
 program, extension and watchdog configuration, the
-:class:`~repro.flexcore.system.RunResult` digest is bit-identical to
-the reference loop's (``tests/test_engine_differential.py`` and the
-pinned golden digests enforce this).
+:class:`~repro.flexcore.system.RunResult` digest and the final
+system state (registers, memory, caches, FIFO, monitor meta-data)
+are bit-identical to the reference loop's
+(``tests/test_engine_differential.py`` and the pinned golden digests
+enforce this).
 """
 
 from repro.engine.pool import (

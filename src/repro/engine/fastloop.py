@@ -21,12 +21,8 @@ from __future__ import annotations
 import time
 
 from repro.core.executor import SimulationError
-from repro.engine.predecode import (
-    MASK32,
-    NOBLOCK,
-    HandlerTable,
-    SuperblockTable,
-)
+from repro.engine.predecode import MASK32, HandlerTable
+from repro.isa.encoding import EncodingError
 from repro.isa.registers import WindowOverflow, WindowUnderflow
 from repro.memory.backing import MemoryFault
 
@@ -143,7 +139,8 @@ def run_fast_loop(
             termination = Termination.ERROR
             error = err
             break
-        except (MemoryFault, WindowOverflow, WindowUnderflow) as err:
+        except (MemoryFault, WindowOverflow, WindowUnderflow,
+                EncodingError) as err:
             wrapped = SimulationError(str(err))
             cpu._attach_context(wrapped, pc)
             wrapped.cycle = int(now)
@@ -168,172 +165,6 @@ def run_fast_loop(
                 table = HandlerTable(system)
                 handlers = table.handlers
                 build = table.build
-                continue
-            trap = iface.pending_trap
-            now = max(now, iface.trap_time)
-            termination = Termination.TRAP
-            break
-
-    return now, trap, termination, error, recoveries, recovery_cycles
-
-
-def run_superblock_loop(
-    system,
-    limit: int,
-    max_cycles: int | None,
-    deadline: float | None,
-    checkpoint_every: int | None,
-    on_checkpoint,
-    recover: bool,
-    recovery_limit: int,
-    recovery_latency: int,
-):
-    """``run_fast_loop`` striding a superblock per dispatch.
-
-    Straight-line runs discovered by
-    :class:`~repro.engine.predecode.SuperblockTable` execute as one
-    fused call; the per-PC path handles everything else — annulled
-    delay slots, blocks that would straddle an instret boundary
-    (watchdog limit, deadline stride, checkpoint), and entry in a
-    delay slot (``npc != pc + 4``).  Check order, error wrapping and
-    cycle arithmetic match the reference loop exactly; the
-    differential and golden tests enforce bit-identity.
-    """
-    from repro.flexcore.system import Termination
-
-    cpu = system.cpu
-    timing = system.core_timing
-    iface = system.interface
-    stop_on_trap = system.config.stop_on_trap
-    stride = system.DEADLINE_STRIDE
-    icache_read = timing.icache.read
-    refill = system.bus.line_refill
-
-    table = SuperblockTable(system)
-    handlers = table.handlers
-    build = table.build
-    blocks = table.blocks
-    block_at = table.block_at
-
-    now = system.now
-    trap = None
-    termination = Termination.HALTED
-    error: SimulationError | None = None
-    recoveries = 0
-    recovery_cycles = 0.0
-
-    max_c = _INFINITY if max_cycles is None else max_cycles
-    next_deadline = (_INFINITY if deadline is None
-                     else cpu.instret + stride)
-    next_checkpoint = (_INFINITY if checkpoint_every is None
-                       else cpu.instret + checkpoint_every)
-    checkpoint: dict | None = None
-    replay_from = now
-    if recover:
-        system.now = now
-        checkpoint = system.snapshot_state()
-
-    while not cpu.halted:
-        instret = cpu.instret
-        if instret >= limit:
-            termination = Termination.INSTRUCTION_LIMIT
-            error = SimulationError(
-                f"instruction limit {limit} exceeded at "
-                f"pc={cpu.pc:#x} — runaway program?",
-                pc=cpu.pc, instret=instret, cycle=int(now),
-            )
-            break
-        if now >= max_c:
-            termination = Termination.CYCLE_LIMIT
-            break
-        if instret >= next_deadline:
-            next_deadline = instret + stride
-            if time.monotonic() >= deadline:
-                termination = Termination.DEADLINE
-                break
-        if instret >= next_checkpoint:
-            next_checkpoint = instret + checkpoint_every
-            system.now = now
-            checkpoint = system.snapshot_state()
-            replay_from = now
-            if on_checkpoint is not None:
-                on_checkpoint(system, checkpoint)
-
-        pc = cpu.pc
-        try:
-            if cpu._annul_next:
-                # Fused annulled delay slot (see ``run_fast_loop``).
-                if pc not in handlers:
-                    build(pc)
-                cpu._annul_next = False
-                npc = cpu.npc
-                cpu.pc = npc
-                cpu.npc = (npc + 4) & MASK32
-                cpu.instret = instret + 1
-                ts = timing.stats
-                ts.instructions += 1
-                inow = int(now)
-                if not icache_read(pc):
-                    done = refill(inow, "core-ifetch")
-                    ts.icache_stall += done - inow
-                    inow = done
-                ts.base_cycles += 1
-                inow += 1
-                ts.cycles = inow
-                timing._pending_load_dest = -1
-                now = inow
-                if iface is not None:
-                    iface.stats.committed += 1
-            else:
-                entry = blocks.get(pc)
-                if entry is None:
-                    entry = block_at(pc)
-                if (entry is not NOBLOCK
-                        and cpu.npc == ((pc + 4) & MASK32)
-                        and entry[0] <= min(limit, next_deadline,
-                                            next_checkpoint) - instret):
-                    now = entry[1](now, max_c)
-                else:
-                    handler = handlers.get(pc)
-                    if handler is None:
-                        handler = build(pc)
-                    now = handler(now)
-        except SimulationError as err:
-            # ``cpu.pc`` is the faulting member's PC: every fused
-            # closure raises before touching pc/instret/timing.
-            cpu._attach_context(err, cpu.pc)
-            if err.cycle is None:
-                err.cycle = int(now)
-            termination = Termination.ERROR
-            error = err
-            break
-        except (MemoryFault, WindowOverflow, WindowUnderflow) as err:
-            wrapped = SimulationError(str(err))
-            cpu._attach_context(wrapped, cpu.pc)
-            wrapped.cycle = int(now)
-            termination = Termination.ERROR
-            error = wrapped
-            break
-
-        if (iface is not None and iface.pending_trap is not None
-                and stop_on_trap):
-            if (recover and checkpoint is not None
-                    and recoveries < recovery_limit):
-                trap_at = max(now, iface.trap_time)
-                wasted = trap_at - replay_from + recovery_latency
-                system.restore_state(checkpoint)
-                now = replay_from = trap_at + recovery_latency
-                recoveries += 1
-                recovery_cycles += wasted
-                if checkpoint_every is not None:
-                    next_checkpoint = cpu.instret + checkpoint_every
-                # The rollback rewound memory (possibly text), so both
-                # the handlers and the fused blocks may be stale.
-                table = SuperblockTable(system)
-                handlers = table.handlers
-                build = table.build
-                blocks = table.blocks
-                block_at = table.block_at
                 continue
             trap = iface.pending_trap
             now = max(now, iface.trap_time)

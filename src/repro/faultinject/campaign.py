@@ -220,10 +220,10 @@ class CampaignConfig:
     jobs: int = 1
     #: lockstep batch size for parallel runs: up to this many fault
     #: indices ride one worker dispatch, sharing the worker's golden
-    #: profile, predecoded superblocks and warm-start prefix
-    #: snapshots.  Results stream back one fault at a time, so retry,
-    #: quarantine and journal granularity stay per fault (a batch
-    #: that fails mid-way requeues only its unfinished members).
+    #: profile and warm-start prefix snapshots.  Results stream back
+    #: one fault at a time, so retry, quarantine and journal
+    #: granularity stay per fault (a batch that fails mid-way
+    #: requeues only its unfinished members).
     #: Scheduling only — never part of the journal identity.
     batch_size: int = 8
     #: instruction budget for the golden run (None = system default).
@@ -620,7 +620,7 @@ class Campaign:
             checkpoint_every=instret - base,
             on_checkpoint=grab,
             deadline=deadline,
-            engine="superblock",
+            engine="fast",
         )
         state = captured.get("state")
         if state is None or state["cpu"]["instret"] != instret:
@@ -670,7 +670,7 @@ class Campaign:
         divergence), so the first landmark whose counter has reached
         the index is an instret by which the trigger fired — past it
         the hook is an inert counter and the rest of the run can go
-        hook-free on a fused engine."""
+        hook-free on the fused engine."""
         settle = model.warm_settle(spec)
         if settle:
             return settle
@@ -750,7 +750,7 @@ class Campaign:
             max_cycles=self._cycle_budget,
             deadline=deadline,
             checkpoint_every=config.checkpoint_every,
-            engine="superblock",
+            engine="fast",
         )
 
     def run_spec(
@@ -1051,9 +1051,9 @@ class Campaign:
         Each worker rebuilds the campaign once (fork keeps this cheap)
         and runs *lockstep batches* of up to ``config.batch_size``
         indices per dispatch: the members of a batch share the
-        worker's golden profile, predecoded superblocks and chained
-        warm-start prefix snapshots, and their results stream back one
-        ``part`` at a time.  Per-index seeding makes each result
+        worker's golden profile and chained warm-start prefix
+        snapshots, and their results stream back one ``part`` at a
+        time.  Per-index seeding makes each result
         independent of the scheduling, so batching never changes the
         science — only how much per-dispatch setup is amortised.
 
@@ -1134,10 +1134,10 @@ def _worker_run(index: int) -> FaultResult:
 
 def _worker_run_batch(indices):
     """One lockstep batch: the members share this worker's campaign —
-    hence its golden profile, predecoded superblock tables and chained
-    warm-start prefix snapshots — and stream their results back one
-    ``part`` at a time, so the parent journals each fault the moment
-    it completes."""
+    hence its golden profile and chained warm-start prefix
+    snapshots — and stream their results back one ``part`` at a
+    time, so the parent journals each fault the moment it
+    completes."""
     for index in indices:
         yield _worker_run(index)
 

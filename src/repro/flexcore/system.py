@@ -48,14 +48,13 @@ DEFAULT_RECOVERY_LATENCY = 128
 DEFAULT_RECOVERY_LIMIT = 3
 
 #: Valid execution engines.  ``fast`` predecodes each PC into a fused
-#: handler closure (see :mod:`repro.engine`); ``superblock``
-#: additionally fuses straight-line runs so the dispatch loop strides
-#: a basic block at a time; ``reference`` is the original
-#: step/advance/on_commit loop.  Results are bit-identical — the
-#: differential and golden tests enforce it — and both fused engines
-#: silently fall back to the reference loop whenever record hooks or
-#: live telemetry need to observe every commit record.
-ENGINES = ("fast", "superblock", "reference")
+#: handler closure (see :mod:`repro.engine`); ``reference`` is the
+#: original step/advance/on_commit loop and the oracle the fused
+#: engine is tested against.  Results are bit-identical — the
+#: differential and golden tests enforce it — and ``fast`` silently
+#: falls back to the reference loop whenever record hooks or live
+#: telemetry need to observe every commit record.
+ENGINES = ("fast", "reference")
 
 
 class Termination(str, enum.Enum):
@@ -139,9 +138,8 @@ class SystemConfig:
     #: stop the simulation when the extension raises TRAP (the paper's
     #: extensions terminate the program); if False, record and continue.
     stop_on_trap: bool = True
-    #: execution engine: "fast" (predecoded handler loop),
-    #: "superblock" (predecoded + fused straight-line runs) or
-    #: "reference" (original loop).  Bit-identical results any way.
+    #: execution engine: "fast" (predecoded handler loop) or
+    #: "reference" (original loop).  Bit-identical results either way.
     engine: str = "fast"
 
     def __post_init__(self) -> None:
@@ -379,20 +377,12 @@ class FlexCoreSystem:
         core_timing = self.core_timing
         interface = self.interface
 
-        use_fast = (engine in ("fast", "superblock")
-                    and self._fast_loop_supported())
+        use_fast = engine == "fast" and self._fast_loop_supported()
         if use_fast:
-            if engine == "superblock":
-                from repro.engine.fastloop import (
-                    run_superblock_loop as fused_loop,
-                )
-            else:
-                from repro.engine.fastloop import (
-                    run_fast_loop as fused_loop,
-                )
+            from repro.engine.fastloop import run_fast_loop
 
             (now, trap, termination, error, recoveries,
-             recovery_cycles) = fused_loop(
+             recovery_cycles) = run_fast_loop(
                 self, limit, max_cycles, deadline, checkpoint_every,
                 on_checkpoint, recover, recovery_limit,
                 recovery_latency,

@@ -84,6 +84,18 @@ class TestBench:
         assert len(payload["points"]) == 5
         assert all(row["match"] for row in payload["points"])
 
+    def test_campaign_bench_reports_match(self):
+        from repro.engine.bench import format_bench, run_campaign_bench
+
+        section = run_campaign_bench(quick=True, faults=3)
+        assert section["reports_match"] is True
+        assert section["cold"]["seconds"] > 0
+        assert section["warm"]["seconds"] > 0
+        summary = format_bench({"quick": True, "scale": 0.0625,
+                                "jobs": 1, "points": [], "speedup": 1.0,
+                                "campaign": section})
+        assert "cold and warm bit-identical" in summary
+
 
 class TestDisasm:
     def test_listing(self, source_file, capsys):

@@ -1,10 +1,11 @@
-"""Differential proof of the fast and superblock engines.
+"""Differential proof of the fast engine.
 
 For any program, extension, and watchdog configuration the fused
-predecoded loop (``engine="fast"``) and the block-compiled loop
-(``engine="superblock"``) must be observationally identical to the
-reference loop: same ``run_digest``, same trap/error strings, same
-termination, same recovery count.  Five layers:
+predecoded loop (``engine="fast"``) must be observationally identical
+to the reference loop: same ``run_digest``, same trap/error strings,
+same termination, same recovery count — and the same architectural
+state afterwards (registers, memory, caches, FIFO, monitor meta-data),
+which the timing counts in a digest cannot see.  Five layers:
 
 * a hypothesis property over random programs (ALU/memory/branch mixes,
   annulled delay slots, undecodable words) under a drawn extension;
@@ -13,15 +14,17 @@ termination, same recovery count.  Five layers:
 * mid-run checkpoint/restore and rollback recovery under each fused
   engine, including restoring a fused-engine snapshot into a
   reference-loop run;
-* directed superblock adversaries: self-modifying stores that patch a
-  compiled block from inside it, traps raised mid-block, and
-  checkpoint boundaries landing inside a block;
+* directed adversaries: self-modifying stores that patch a
+  straight-line run from inside it, code rewritten outside ``.text``,
+  traps raised mid-run, undecodable words, and checkpoint boundaries
+  at a prime stride;
 * packet streams: every trace packet handed to the extension, on all
   its fields, including those no shipped monitor reads (digests cannot
   see a field the extension ignores).
 """
 
 import dataclasses
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -34,9 +37,14 @@ from repro.evaluation.config import (
 )
 from repro.extensions import EXTENSION_NAMES, create_extension
 from repro.flexcore.cfgr import ForwardPolicy
-from repro.flexcore.system import FlexCoreSystem
+from repro.flexcore.system import (
+    ENGINES,
+    FlexCoreSystem,
+    RunResult,
+    Termination,
+)
 from repro.isa.assembler import assemble
-from repro.isa.opcodes import ALU_CLASSES
+from repro.isa.opcodes import ALU_CLASSES, InstrClass
 from repro.mdl import load_spec, shipped_specs
 from repro.telemetry.summary import result_fingerprint, run_digest
 from repro.workloads import build_workload, workload_names
@@ -74,27 +82,33 @@ def _fabric_ratio(spec):
     return FLEXCORE_RATIOS.get(name, 0.5)
 
 
-def _run_one(program, spec, engine, **bounded_kwargs):
-    system = FlexCoreSystem(program, _make_extension(spec))
-    try:
-        return system.run_bounded(engine=engine, **bounded_kwargs)
-    except Exception as err:
-        # Some faults (e.g. an undecodable word's EncodingError)
-        # escape run_bounded uncaught; both engines must raise the
-        # same exception, so represent it comparably.
-        return ("raised", type(err).__name__, str(err))
+class Run(NamedTuple):
+    """One engine's run: its result and the system state after it."""
+
+    result: RunResult
+    state: dict
 
 
-def _assert_identical(reference, fast):
-    if isinstance(reference, tuple) or isinstance(fast, tuple):
-        assert reference == fast
-        return
-    assert reference.engine == "reference"
-    assert result_fingerprint(fast) == result_fingerprint(reference)
-    assert run_digest(fast) == run_digest(reference)
-    assert str(fast.trap) == str(reference.trap)
-    assert str(fast.error) == str(reference.error)
-    assert fast.termination == reference.termination
+def _run_one(program, spec, engine, config=None, **bounded_kwargs):
+    # run_bounded never raises for an in-simulation fault (a bad word,
+    # a misaligned access, ...), so any exception here fails the test.
+    system = FlexCoreSystem(program, _make_extension(spec), config)
+    result = system.run_bounded(engine=engine, **bounded_kwargs)
+    return Run(result, system.snapshot_state())
+
+
+def _assert_identical(reference: Run, fused: Run):
+    ref, got = reference.result, fused.result
+    assert ref.engine == "reference"
+    assert result_fingerprint(got) == result_fingerprint(ref)
+    assert run_digest(got) == run_digest(ref)
+    assert str(got.trap) == str(ref.trap)
+    # The diagnosis carries the error's pc, instruction, instret and
+    # cycle, which a campaign's crash report quotes.
+    assert ((got.error and got.error.diagnosis())
+            == (ref.error and ref.error.diagnosis()))
+    assert got.termination == ref.termination
+    assert fused.state == reference.state
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +141,7 @@ def monitored_programs(draw):
                         min_size=1, max_size=24))
     loops = draw(st.integers(1, 3))
     # An undecodable word in place of the halt: both engines must
-    # raise the decoder's SimulationError identically when reached.
+    # end the run with the same SimulationError when it is reached.
     bad_tail = draw(st.sampled_from((False, False, False, True)))
     extension = draw(st.sampled_from((None, "umc", "dift", "bc")))
     return seeds, ops, loops, bad_tail, extension
@@ -180,7 +194,8 @@ def _emit(seeds, ops, loops, bad_tail):
     return assemble("\n".join(lines), entry="start")
 
 
-FUSED_ENGINES = ("fast", "superblock")
+FUSED_ENGINES = tuple(engine for engine in ENGINES
+                      if engine != "reference")
 
 
 @settings(max_examples=50, deadline=None)
@@ -193,8 +208,7 @@ def test_random_programs_bit_identical(case):
     for engine in FUSED_ENGINES:
         fused = _run_one(program, extension, engine,
                          max_instructions=20_000)
-        if not isinstance(fused, tuple):
-            assert fused.engine == engine
+        assert fused.result.engine == engine
         _assert_identical(reference, fused)
 
 
@@ -209,17 +223,13 @@ def test_random_programs_bit_identical(case):
 @pytest.mark.parametrize("workload", workload_names())
 def test_paper_workloads_bit_identical(workload, extension):
     program = build_workload(workload, 0.125).build()
-    ratio = _fabric_ratio(extension)
-    runs = {}
-    for engine in ("reference",) + FUSED_ENGINES:
-        system = FlexCoreSystem(
-            program, _make_extension(extension),
-            experiment_system_config(clock_ratio=ratio),
-        )
-        runs[engine] = system.run_bounded(engine=engine)
+    config = experiment_system_config(
+        clock_ratio=_fabric_ratio(extension))
+    runs = {engine: _run_one(program, extension, engine, config)
+            for engine in ENGINES}
     for engine in FUSED_ENGINES:
-        assert runs[engine].engine == engine
-        assert runs[engine].halted
+        assert runs[engine].result.engine == engine
+        assert runs[engine].result.halted
         _assert_identical(runs["reference"], runs[engine])
 
 
@@ -243,7 +253,7 @@ def test_fused_engine_checkpoint_restore_round_trip(engine):
     assert checkpointed.halted
     assert captured, "run too short to checkpoint"
 
-    uninterrupted = _run_one(program, "umc", "reference")
+    uninterrupted = _run_one(program, "umc", "reference").result
     assert (result_fingerprint(checkpointed)
             == result_fingerprint(uninterrupted))
 
@@ -276,13 +286,13 @@ def test_rollback_recovery_bit_identical(engine):
     kwargs = dict(checkpoint_every=2, recover=True, recovery_limit=3)
     reference = _run_one(program, "umc", "reference", **kwargs)
     fused = _run_one(program, "umc", engine, **kwargs)
-    assert fused.engine == engine
-    assert reference.recoveries == fused.recoveries > 0
+    assert fused.result.engine == engine
+    assert reference.result.recoveries == fused.result.recoveries > 0
     _assert_identical(reference, fused)
 
 
 # ---------------------------------------------------------------------------
-# Layer 4: directed superblock adversaries.
+# Layer 4: directed adversaries.
 
 
 def _patch_word(source: str) -> int:
@@ -319,9 +329,9 @@ patch_word:
 
 @pytest.mark.parametrize("extension", (None, "umc", "dift"))
 def test_self_modifying_store_inside_own_block(extension):
-    """A store whose target word belongs to an already-compiled
-    superblock — the very block being executed — must invalidate it;
-    the patched instruction takes effect on the next loop iteration
+    """A store whose target word belongs to the straight-line run
+    being executed must drop that word's predecoded handler; the
+    patched instruction takes effect on the next loop iteration
     exactly as in the reference."""
     word = _patch_word("add     %g3, 2, %g3")
     program = assemble(
@@ -341,8 +351,8 @@ start:
         mov     7, %g2
         st      %g2, [%g1]
         add     %g2, 1, %g3        ! straight-line run: the trapping
-        add     %g3, 1, %g4        ! load sits mid-block, with live
-        ld      [%g1 + 8], %g5     ! members after it (UMC trap here)
+        add     %g3, 1, %g4        ! load sits mid-run, with live
+        ld      [%g1 + 8], %g5     ! instructions after it (UMC trap)
         add     %g5, 1, %g6
         add     %g6, 1, %o0
         ta      0
@@ -351,24 +361,110 @@ start:
 
 
 def test_trap_raised_mid_block_stops_identically():
-    """A monitor trap latched by a non-terminal member must stop the
-    block immediately — the members after it never execute, matching
-    the reference loop's per-instruction trap check."""
+    """A monitor trap latched mid-way through a straight-line run
+    must stop it immediately — the instructions after it never
+    execute, matching the reference loop's per-instruction trap
+    check."""
     program = assemble(_MIDBLOCK_TRAP_SOURCE, entry="start")
     reference = _run_one(program, "umc", "reference")
-    assert reference.trap is not None
+    assert reference.result.trap is not None
     for engine in FUSED_ENGINES:
         fused = _run_one(program, "umc", engine)
-        assert fused.trap is not None
+        assert fused.result.trap is not None
         _assert_identical(reference, fused)
+
+
+_DATA_CODE_TEMPLATE = """
+        .text
+start:
+        set     stub, %g6
+        set     out, %g7
+        set     {first:#x}, %g2
+        st      %g2, [%g6]         ! write an instruction into .data
+        call    stub
+        nop
+        st      %o0, [%g7]
+        set     {second:#x}, %g2
+        set     {retl:#x}, %g3
+        {rewrite}                  ! rewrite it after it has run
+        call    stub
+        nop
+        st      %o0, [%g7 + 4]
+        ta      0
+        nop
+        .data
+        .align  8
+stub:
+        .word   0
+        .word   {retl:#x}
+        .word   {nop:#x}
+out:
+        .space  8
+"""
+
+
+@pytest.mark.parametrize("rewrite", ("st      %g2, [%g6]",
+                                     "std     %g2, [%g6]"),
+                         ids=("st", "std"))
+@pytest.mark.parametrize("extension", (None, "umc", "dift"))
+def test_code_rewritten_outside_text_re_predecodes(extension, rewrite):
+    """Code the program writes into ``.data``, runs, rewrites and runs
+    again must execute the new word.  The two words time alike, so
+    only the final state (the values the stub returned) tells a stale
+    handler from a fresh one."""
+    program = assemble(_DATA_CODE_TEMPLATE.format(
+        first=_patch_word("mov     11, %o0"),
+        second=_patch_word("mov     22, %o0"),
+        retl=_patch_word("retl"), nop=_patch_word("nop"),
+        rewrite=rewrite), entry="start")
+    reference = _run_one(program, extension, "reference")
+    out = program.symbols["out"]
+    memory = reference.result.memory
+    assert (memory.read_word(out), memory.read_word(out + 4)) == (11, 22)
+    for engine in FUSED_ENGINES:
+        _assert_identical(reference, _run_one(program, extension, engine))
+
+
+@pytest.mark.parametrize("source", (
+    "        nop\n        .word   0",
+    "        ba,a    skip\n        .word   0\nskip:\n        ta      0",
+    "        nop\n        ldd     [%sp], %o1",
+), ids=("undecodable", "undecodable-annulled", "ldd-odd-rd"))
+def test_faulting_instruction_ends_run_with_error(source):
+    """A faulting instruction — an undecodable word, even in an
+    annulled delay slot (still fetched and decoded), or an execute-time
+    fault — ends the run ``ERROR`` at its PC on every engine; it never
+    escapes ``run_bounded`` as an exception."""
+    program = assemble(f"        .text\nstart:\n{source}\n",
+                       entry="start")
+    reference = _run_one(program, "dift", "reference")
+    assert reference.result.termination == Termination.ERROR
+    assert reference.result.error.pc == program.text_base + 4
+    assert reference.result.error.instret == 1
+    for engine in FUSED_ENGINES:
+        _assert_identical(reference, _run_one(program, "dift", engine))
+
+
+def test_expired_deadline_stops_at_the_same_instruction():
+    """A deadline that has already passed trips at the first
+    wall-clock check, ``DEADLINE_STRIDE`` instructions in, on every
+    engine — so even the watchdog's stopping point is comparable."""
+    program = build_workload("bitcount", 0.0625).build()
+    reference = _run_one(program, "umc", "reference", deadline=0.0)
+    assert reference.result.termination == Termination.DEADLINE
+    assert (reference.result.instructions
+            == FlexCoreSystem.DEADLINE_STRIDE)
+    for engine in FUSED_ENGINES:
+        _assert_identical(
+            reference, _run_one(program, "umc", engine, deadline=0.0))
 
 
 @pytest.mark.parametrize("engine", FUSED_ENGINES)
 def test_checkpoint_boundary_inside_block_bit_identical(engine):
-    """A checkpoint stride that keeps landing mid-block (prime, and
-    small) forces the dispatcher to decline block entry near every
-    boundary; both the captured snapshot states and the final result
-    must equal the reference's."""
+    """A small prime checkpoint stride lands at every position of
+    the program's straight-line runs and loops; both the captured
+    snapshot states and the final result must equal the
+    reference's."""
     program = build_workload("bitcount", 0.0625).build()
 
     def run(engine):
@@ -378,11 +474,11 @@ def test_checkpoint_boundary_inside_block_bit_identical(engine):
             engine=engine, checkpoint_every=997,
             on_checkpoint=lambda s, state: captured.append(state),
         )
-        return result, captured
+        return Run(result, system.snapshot_state()), captured
 
     reference, ref_states = run("reference")
     fused, fused_states = run(engine)
-    assert fused.engine == engine
+    assert fused.result.engine == engine
     _assert_identical(reference, fused)
     assert len(ref_states) == len(fused_states) > 0
     for ref_state, fused_state in zip(ref_states, fused_states):
@@ -395,7 +491,7 @@ def test_record_hooks_fall_back_to_reference_loop():
     an identical digest."""
     program = build_workload("bitcount", 0.125).build()
 
-    fast = _run_one(program, "dift", "fast")
+    fast = _run_one(program, "dift", "fast").result
     assert fast.engine == "fast"
 
     seen = []
@@ -412,9 +508,10 @@ def test_record_hooks_fall_back_to_reference_loop():
 # Layer 5: the packet stream each engine hands to the extension.
 
 
-def _recorded_run(program, extension, engine, config, policy=None):
+def _recorded_run(program, extension, engine, config, policy=None,
+                  classes=ALU_CLASSES):
     """Run with ``extension.process`` wrapped in a recorder; return
-    the result and every packet the fabric was handed, in order."""
+    the run and every packet the fabric was handed, in order."""
     monitor = create_extension(extension)
     packets = []
     process = monitor.process
@@ -426,27 +523,29 @@ def _recorded_run(program, extension, engine, config, policy=None):
     monitor.process = recording
     system = FlexCoreSystem(program, monitor, config)
     if policy is not None:
-        system.interface.cfgr.set_classes(ALU_CLASSES, policy)
-    return system.run_bounded(engine=engine), packets
+        system.interface.cfgr.set_classes(classes, policy)
+    result = system.run_bounded(engine=engine)
+    return Run(result, system.snapshot_state()), packets
 
 
-def _assert_same_packets(program, extension, config, policy=None):
+def _assert_same_packets(program, extension, config, policy=None,
+                         classes=ALU_CLASSES):
     reference, expected = _recorded_run(program, extension, "reference",
-                                        config, policy)
+                                        config, policy, classes)
     assert expected, "no packets reached the fabric"
     # repr distinguishes what == would not: an InstrClass from a bare
     # int in OPCODE, a bool from an int in BRANCH.
     expected_repr = [repr(packet) for packet in expected]
     for engine in FUSED_ENGINES:
-        result, packets = _recorded_run(program, extension, engine,
-                                        config, policy)
-        assert result.engine == engine
+        fused, packets = _recorded_run(program, extension, engine,
+                                       config, policy, classes)
+        assert fused.result.engine == engine
         assert len(packets) == len(expected)
         for index, (want, got) in enumerate(zip(expected, packets)):
             assert got == want, (engine, index)  # instr included
         assert [repr(packet) for packet in packets] == expected_repr
-        _assert_identical(reference, result)
-    return reference
+        _assert_identical(reference, fused)
+    return reference.result
 
 
 @pytest.mark.parametrize("extension", ("umc", "dift", "bc", "sec"))
@@ -473,3 +572,15 @@ def test_packet_streams_identical_with_precise_exceptions():
         config.interface, precise_exceptions=True))
     reference = _assert_same_packets(program, "dift", config)
     assert reference.interface_stats.ack_stall_cycles > 0
+
+
+def test_packet_streams_identical_with_every_class_forwarded():
+    """Branches are forwarded by no shipped monitor's CFGR; forward
+    every class so their packets are compared too."""
+    program = build_workload("bitcount", 0.0625).build()
+    config = experiment_system_config(clock_ratio=0.5)
+    reference = _assert_same_packets(program, "dift", config,
+                                     ForwardPolicy.ALWAYS,
+                                     classes=tuple(InstrClass))
+    by_class = reference.interface_stats.forwarded_by_class
+    assert by_class.get(InstrClass.BRANCH, 0) > 0
