@@ -1,22 +1,26 @@
 """Wall-clock overhead of the telemetry subsystem.
 
-Measures the same monitored workload three ways:
+Measures the same monitored workload three ways, all on the default
+fast engine (telemetry does not move a run to the reference loop):
 
 * **off**  — ``telemetry=None`` (the default every benchmark and
   campaign uses): must stay within ~2% of the pre-telemetry seed,
   because the only added work is a handful of ``is not None`` checks
-  on paths the timing model already branches on;
+  on paths the timing model already branches on (checked by
+  comparing *off* seconds across builds);
 * **metrics** — counters/gauges/histograms enabled, no tracing;
-* **trace** — full cycle-accurate event tracing into the ring buffer.
+* **trace** — metrics plus full cycle-accurate event tracing into the
+  ring buffer.
 
 Run as a script to emit ``BENCH_telemetry.json``::
 
-    PYTHONPATH=src python benchmarks/bench_telemetry_overhead.py
+    PYTHONPATH=src python benchmarks/bench_telemetry_overhead.py [SCALE [REPEATS]]
 
 The JSON records per-mode wall-clock seconds (best of ``repeats``),
-the overhead ratios versus *off*, and the run digest of each mode —
-which must be identical across all three (telemetry observes, never
-perturbs).
+the overhead ratios versus *off*, the engine each mode ran on, and
+the run digest — which must be identical across all three modes
+(telemetry observes, never perturbs).  The goals in ``target`` are
+reported against, not enforced.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ def measure(workload: str, extension: str, ratio: float,
     program = build_workload(workload, scale).build()
     timings: dict[str, float] = {}
     digests: dict[str, str] = {}
+    engines: dict[str, str] = {}
     for mode in MODES:
         best = float("inf")
         for _ in range(repeats):
@@ -63,6 +68,7 @@ def measure(workload: str, extension: str, ratio: float,
             best = min(best, time.perf_counter() - start)
         timings[mode] = best
         digests[mode] = run_digest(result)
+        engines[mode] = result.engine
     if len(set(digests.values())) != 1:
         raise AssertionError(
             f"telemetry perturbed the run: digests {digests}"
@@ -77,6 +83,7 @@ def measure(workload: str, extension: str, ratio: float,
             m: round(timings[m] / off, 4) for m in MODES
         },
         "digest": digests["off"],
+        "engine": engines,
     }
 
 
@@ -92,7 +99,9 @@ def main(argv: list[str] | None = None) -> int:
         "benchmark": "telemetry_overhead",
         "scale": scale,
         "repeats": repeats,
-        "target": "off <= 1.02x of the untelemetered hot path",
+        "target": "off <= 1.02x of the untelemetered hot path; "
+                  "on the fast engine: metrics <= 1.15x and "
+                  "trace <= 1.5x of off",
         "scenarios": rows,
     }
     with open("BENCH_telemetry.json", "w") as handle:

@@ -1078,7 +1078,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace_cmd.add_argument(
         "--engine", choices=ENGINES,
         default=None,
-        help="execution engine (tracing forces the reference loop)",
+        help="execution engine (default fast; both record the same "
+        "trace)",
     )
     trace_cmd.set_defaults(handler=cmd_trace)
 

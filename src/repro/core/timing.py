@@ -32,6 +32,16 @@ from repro.core.executor import CommitRecord
 from repro.isa.opcodes import InstrClass, Op3Mem
 from repro.memory.bus import BusConfig, SharedBus, StoreBuffer
 from repro.memory.cache import Cache, CacheConfig
+from repro.telemetry.metrics import StatsCounters
+
+#: metrics counters derived from :class:`CoreTimingStats` fields.
+CORE_COUNTERS = {
+    "core.instructions": "instructions",
+    "core.icache_refill_cycles": "icache_stall",
+    "core.dcache_refill_cycles": "dcache_stall",
+    "core.store_stall_cycles": "store_stall",
+    "core.interlock_stalls": "interlock_stall",
+}
 
 
 @dataclass
@@ -111,30 +121,18 @@ class CoreTiming:
         # load-use interlock (the data cache delivers in the memory
         # stage, one stage after the ALU consumes operands).
         self._pending_load_dest = -1
-        # Telemetry sinks, resolved once so the hot path pays only a
-        # None check (and nothing at all on the hit path).
+        # Telemetry sinks, resolved once.  The tracer is checked only
+        # on stall paths; the per-commit counters are derived from
+        # ``stats`` (see ``flush_metrics``), so the hit path pays
+        # nothing.
         self._tracer = telemetry.tracer if telemetry is not None else None
         metrics = (telemetry.metrics
                    if telemetry is not None and telemetry.metrics.enabled
                    else None)
-        if metrics is not None:
-            self._m_instructions = metrics.counter("core.instructions")
-            self._m_icache_refill = metrics.counter(
-                "core.icache_refill_cycles"
-            )
-            self._m_dcache_refill = metrics.counter(
-                "core.dcache_refill_cycles"
-            )
-            self._m_store_stall = metrics.counter(
-                "core.store_stall_cycles"
-            )
-            self._m_interlock = metrics.counter("core.interlock_stalls")
-        else:
-            self._m_instructions = None
-            self._m_icache_refill = None
-            self._m_dcache_refill = None
-            self._m_store_stall = None
-            self._m_interlock = None
+        self._counters = (
+            StatsCounters(metrics, CORE_COUNTERS, self.stats)
+            if metrics is not None else None
+        )
 
     # ------------------------------------------------------------------
     # Snapshot/restore (crash-safe checkpointing).  The shared bus is
@@ -150,29 +148,60 @@ class CoreTiming:
         }
 
     def restore_state(self, state: dict) -> None:
+        self.flush_metrics()
         self.stats = CoreTimingStats(**state["stats"])
+        if self._counters is not None:
+            self._counters.rebase(self.stats)
         self.icache.restore_state(state["icache"])
         self.dcache.restore_state(state["dcache"])
         self.store_buffer.restore_state(state["store_buffer"])
         self._pending_load_dest = state["pending_load_dest"]
 
+    def flush_metrics(self) -> None:
+        """Add the stats gained since the last flush to the metrics
+        counters (a no-op without a live registry)."""
+        if self._counters is not None:
+            self._counters.flush(self.stats)
+
+    # ------------------------------------------------------------------
+    # Stall charges, shared by ``advance`` and the fused engine's
+    # closures so both emit the same trace events.
+
+    def icache_miss(self, now: int, pc: int) -> int:
+        """Refill the instruction line of ``pc``; return when it is in."""
+        done = self.bus.line_refill(now, "core-ifetch")
+        self.stats.icache_stall += done - now
+        if self._tracer is not None:
+            self._tracer.span(now, done - now, "core",
+                              "stall.icache_refill", pc=pc)
+        return done
+
+    def dcache_miss(self, now: int, pc: int, addr: int) -> int:
+        """Refill the data line of ``addr``; return when it is in."""
+        done = self.bus.line_refill(now, "core-dcache")
+        self.stats.dcache_stall += done - now
+        if self._tracer is not None:
+            self._tracer.span(now, done - now, "core",
+                              "stall.dcache_refill", pc=pc, addr=addr)
+        return done
+
+    def store_stall(self, now: int, proceed: int, pc: int) -> int:
+        """Charge a full store buffer holding the core from ``now`` to
+        ``proceed``; return ``proceed``."""
+        self.stats.store_stall += proceed - now
+        if self._tracer is not None:
+            self._tracer.span(now, proceed - now, "core",
+                              "stall.store_buffer", pc=pc)
+        return proceed
+
     def advance(self, record: CommitRecord, now: int) -> int:
         """Charge one committed instruction starting at time ``now``."""
         stats = self.stats
         stats.instructions += 1
-        if self._m_instructions is not None:
-            self._m_instructions.inc()
 
         # Instruction fetch.
         if not self.icache.read(record.pc):
-            done = self.bus.line_refill(now, "core-ifetch")
-            stats.icache_stall += done - now
-            if self._tracer is not None:
-                self._tracer.span(now, done - now, "core",
-                                  "stall.icache_refill", pc=record.pc)
-            if self._m_icache_refill is not None:
-                self._m_icache_refill.inc(done - now)
-            now = done
+            now = self.icache_miss(now, record.pc)
 
         if record.annulled:
             stats.base_cycles += 1
@@ -193,8 +222,6 @@ class CoreTiming:
             if uses:
                 base += 1
                 stats.interlock_stall += 1
-                if self._m_interlock is not None:
-                    self._m_interlock.inc()
         self._pending_load_dest = record.dest_phys if record.is_load else -1
 
         stats.base_cycles += base
@@ -202,36 +229,19 @@ class CoreTiming:
 
         if record.is_load:
             if not self.dcache.read(record.addr):
-                done = self.bus.line_refill(now, "core-dcache")
-                stats.dcache_stall += done - now
-                if self._tracer is not None:
-                    self._tracer.span(now, done - now, "core",
-                                      "stall.dcache_refill",
-                                      pc=record.pc, addr=record.addr)
-                if self._m_dcache_refill is not None:
-                    self._m_dcache_refill.inc(done - now)
-                now = done
+                now = self.dcache_miss(now, record.pc, record.addr)
             if record.instr.opcode == Op3Mem.LDD:
                 self.dcache.read(record.addr + 4)
         elif record.is_store:
             self.dcache.write(record.addr)
             proceed = self.store_buffer.push(now)
-            stats.store_stall += proceed - now
             if proceed > now:
-                if self._tracer is not None:
-                    self._tracer.span(now, proceed - now, "core",
-                                      "stall.store_buffer",
-                                      pc=record.pc)
-                if self._m_store_stall is not None:
-                    self._m_store_stall.inc(proceed - now)
-            now = proceed
+                now = self.store_stall(now, proceed, record.pc)
             if record.instr.opcode == Op3Mem.STD:
                 self.dcache.write(record.addr + 4)
                 proceed = self.store_buffer.push(now)
-                stats.store_stall += proceed - now
-                if proceed > now and self._m_store_stall is not None:
-                    self._m_store_stall.inc(proceed - now)
-                now = proceed
+                if proceed > now:
+                    now = self.store_stall(now, proceed, record.pc)
 
         stats.cycles = now
         return now

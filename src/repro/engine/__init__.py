@@ -22,7 +22,8 @@ The fast engine's contract is *observational invariance*: for any
 program, extension and watchdog configuration, the
 :class:`~repro.flexcore.system.RunResult` digest and the final
 system state (registers, memory, caches, FIFO, monitor meta-data)
-are bit-identical to the reference loop's
+are bit-identical to the reference loop's, and so are the metrics
+snapshot and trace event stream of a telemetered run
 (``tests/test_engine_differential.py`` and the pinned golden digests
 enforce this).
 """

@@ -11,9 +11,13 @@ consumes.
 
 Eligibility is decided by ``FlexCoreSystem.run_bounded``
 (:meth:`~repro.flexcore.system.FlexCoreSystem._fast_loop_supported`):
-record hooks or live telemetry force the reference loop, because
-hooks see every ``CommitRecord`` and tracers/metrics observe events
-the fused closures deliberately skip.
+only record hooks force the reference loop, because they see every
+``CommitRecord`` and the fused closures never build one.  Live
+telemetry runs here: the handler table's fused commit tail emits the
+packet and FIFO events, the shared stall charges of
+:class:`~repro.core.timing.CoreTiming` emit the stall spans, and this
+loop emits the annulled-slot and rollback events at the points the
+reference loop does, so metrics and the event stream are identical.
 """
 
 from __future__ import annotations
@@ -49,7 +53,10 @@ def run_fast_loop(
     stop_on_trap = system.config.stop_on_trap
     stride = system.DEADLINE_STRIDE
     icache_read = timing.icache.read
-    refill = system.bus.line_refill
+    icache_miss = timing.icache_miss
+    m_annulled = cpu._m_annulled
+    telemetry = system.telemetry
+    tracer = telemetry.tracer if telemetry is not None else None
 
     table = HandlerTable(system)
     handlers = table.handlers
@@ -109,6 +116,8 @@ def run_fast_loop(
                 if pc not in handlers:
                     build(pc)
                 cpu._annul_next = False
+                if m_annulled is not None:
+                    m_annulled.inc()
                 npc = cpu.npc
                 cpu.pc = npc
                 cpu.npc = (npc + 4) & MASK32
@@ -117,9 +126,7 @@ def run_fast_loop(
                 ts.instructions += 1
                 inow = int(now)
                 if not icache_read(pc):
-                    done = refill(inow, "core-ifetch")
-                    ts.icache_stall += done - inow
-                    inow = done
+                    inow = icache_miss(inow, pc)
                 ts.base_cycles += 1
                 inow += 1
                 ts.cycles = inow
@@ -154,6 +161,9 @@ def run_fast_loop(
                     and recoveries < recovery_limit):
                 trap_at = max(now, iface.trap_time)
                 wasted = trap_at - replay_from + recovery_latency
+                if tracer is not None:
+                    tracer.span(trap_at, recovery_latency, "monitor",
+                                "monitor.rollback", wasted=wasted)
                 system.restore_state(checkpoint)
                 now = replay_from = trap_at + recovery_latency
                 recoveries += 1

@@ -43,6 +43,15 @@ Fidelity rules the closures follow:
 * A store to a word that has a predecoded handler drops that
   handler, wherever the word lives (``.text`` or not), so
   self-modifying code re-predecodes on next execution.
+* Telemetry sinks are read at build time.  Cache-refill and
+  store-buffer stalls go through the timing model's own stall charges
+  (``CoreTiming.icache_miss`` and friends), which emit their trace
+  spans only when a tracer is live.  The fused commit tail
+  (``forward``) emits the packet and FIFO events of whichever sink
+  is live, as ``on_commit`` does.  Per-commit counters need no
+  closure code: they are derived from the stats the closures already
+  keep.  Ignored-class and non-forwarding closures carry no telemetry
+  code.
 
 Handlers are built lazily (on first execution of each PC), so a table
 never describes memory it has not read.
@@ -193,6 +202,14 @@ class HandlerTable:
         if instr is None:
             instr = decode(word)
             _DECODE_CACHE[word] = instr
+        cpu = system.cpu
+        if (cpu._m_decode_miss is not None
+                and word not in cpu._decode_cache):
+            # With metrics live, fill the CPU's own decode cache as
+            # ``CpuState.step`` does, so ``core.decode_cache_misses``
+            # counts the same words on both engines.
+            cpu._decode_cache[word] = instr
+            cpu._m_decode_miss.inc()
         instr_class = instr.instr_class
         latency = system.core_timing.config.base_latency(instr_class)
         iface = system.interface
@@ -264,11 +281,11 @@ class HandlerTable:
         regs = cpu.regs
         return (cpu, timing, system.interface, regs.read, regs.write,
                 regs.physical_index, timing.icache.read,
-                system.bus.line_refill)
+                timing.icache_miss)
 
     def _make_alu_simple(self, pc, instr, valfn, latency):
         (cpu, timing, iface, regs_read, regs_write, phys,
-         icache_read, refill) = self._context()
+         icache_read, icache_miss) = self._context()
         rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
         use_imm = instr.use_imm
         imm = instr.imm & MASK32
@@ -285,9 +302,7 @@ class HandlerTable:
             ts.instructions += 1
             now = int(now)
             if not icache_read(pc):
-                done = refill(now, "core-ifetch")
-                ts.icache_stall += done - now
-                now = done
+                now = icache_miss(now, pc)
             base = latency
             dest = timing._pending_load_dest
             if dest > 0 and (phys(rs1) == dest
@@ -308,7 +323,7 @@ class HandlerTable:
 
     def _make_alu_full(self, pc, instr, latency):
         (cpu, timing, iface, regs_read, regs_write, phys,
-         icache_read, refill) = self._context()
+         icache_read, icache_miss) = self._context()
         rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
         use_imm = instr.use_imm
         imm = instr.imm & MASK32
@@ -331,9 +346,7 @@ class HandlerTable:
             ts.instructions += 1
             now = int(now)
             if not icache_read(pc):
-                done = refill(now, "core-ifetch")
-                ts.icache_stall += done - now
-                now = done
+                now = icache_miss(now, pc)
             base = latency
             dest = timing._pending_load_dest
             if dest > 0 and (phys(rs1) == dest
@@ -354,12 +367,13 @@ class HandlerTable:
 
     def _make_load(self, pc, instr, latency):
         (cpu, timing, iface, regs_read, regs_write, phys,
-         icache_read, refill) = self._context()
+         icache_read, icache_miss) = self._context()
         rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
         use_imm = instr.use_imm
         imm = instr.imm & MASK32
         op3 = instr.opcode
         dcache_read = timing.dcache.read
+        dcache_miss = timing.dcache_miss
         memory = self.system.memory
         read_word = self._read_word
         read_byte = memory.read_byte
@@ -394,9 +408,7 @@ class HandlerTable:
             ts.instructions += 1
             now = int(now)
             if not icache_read(pc):
-                done = refill(now, "core-ifetch")
-                ts.icache_stall += done - now
-                now = done
+                now = icache_miss(now, pc)
             base = latency
             dest = timing._pending_load_dest
             if dest > 0 and (phys(rs1) == dest
@@ -407,9 +419,7 @@ class HandlerTable:
             ts.base_cycles += base
             now += base
             if not dcache_read(addr):
-                done = refill(now, "core-dcache")
-                ts.dcache_stall += done - now
-                now = done
+                now = dcache_miss(now, pc, addr)
             ts.cycles = now
             if iface is not None:
                 s = iface.stats
@@ -421,13 +431,14 @@ class HandlerTable:
 
     def _make_store(self, pc, instr, latency):
         (cpu, timing, iface, regs_read, regs_write, phys,
-         icache_read, refill) = self._context()
+         icache_read, icache_miss) = self._context()
         rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
         use_imm = instr.use_imm
         imm = instr.imm & MASK32
         op3 = instr.opcode
         dcache_write = timing.dcache.write
         sb_push = timing.store_buffer.push
+        store_stall = timing.store_stall
         memory = self.system.memory
         if op3 == Op3Mem.ST:
             storefn = self._write_word
@@ -454,9 +465,7 @@ class HandlerTable:
             ts.instructions += 1
             now = int(now)
             if not icache_read(pc):
-                done = refill(now, "core-ifetch")
-                ts.icache_stall += done - now
-                now = done
+                now = icache_miss(now, pc)
             base = latency
             dest = timing._pending_load_dest
             if dest > 0 and (phys(rs1) == dest
@@ -469,8 +478,8 @@ class HandlerTable:
             now += base
             dcache_write(addr)
             proceed = sb_push(now)
-            ts.store_stall += proceed - now
-            now = proceed
+            if proceed > now:
+                now = store_stall(now, proceed, pc)
             ts.cycles = now
             if iface is not None:
                 s = iface.stats
@@ -482,7 +491,7 @@ class HandlerTable:
 
     def _make_branch(self, pc, instr, latency):
         (cpu, timing, iface, _regs_read, _regs_write, _phys,
-         icache_read, refill) = self._context()
+         icache_read, icache_miss) = self._context()
         cond_eval = _COND_EVAL[instr.cond]
         target = (pc + 4 * instr.disp) & MASK32
         annul = instr.annul
@@ -506,9 +515,7 @@ class HandlerTable:
             ts.instructions += 1
             now = int(now)
             if not icache_read(pc):
-                done = refill(now, "core-ifetch")
-                ts.icache_stall += done - now
-                now = done
+                now = icache_miss(now, pc)
             # Branches carry no source physical registers, so the
             # load-use interlock can never fire; just clear it.
             timing._pending_load_dest = -1
@@ -525,7 +532,7 @@ class HandlerTable:
 
     def _make_sethi(self, pc, instr, latency):
         (cpu, timing, iface, _regs_read, regs_write, _phys,
-         icache_read, refill) = self._context()
+         icache_read, icache_miss) = self._context()
         rd = instr.rd
         value = (instr.imm << 10) & MASK32
 
@@ -539,9 +546,7 @@ class HandlerTable:
             ts.instructions += 1
             now = int(now)
             if not icache_read(pc):
-                done = refill(now, "core-ifetch")
-                ts.icache_stall += done - now
-                now = done
+                now = icache_miss(now, pc)
             timing._pending_load_dest = -1
             ts.base_cycles += latency
             now += latency
@@ -556,7 +561,7 @@ class HandlerTable:
 
     def _make_call(self, pc, instr, latency):
         (cpu, timing, iface, _regs_read, regs_write, _phys,
-         icache_read, refill) = self._context()
+         icache_read, icache_miss) = self._context()
         target = (pc + 4 * instr.disp) & MASK32
 
         def handler(now):
@@ -569,9 +574,7 @@ class HandlerTable:
             ts.instructions += 1
             now = int(now)
             if not icache_read(pc):
-                done = refill(now, "core-ifetch")
-                ts.icache_stall += done - now
-                now = done
+                now = icache_miss(now, pc)
             timing._pending_load_dest = -1
             ts.base_cycles += latency
             now += latency
@@ -593,14 +596,21 @@ class HandlerTable:
     # (FIFO occupancy, ``_service``, trap latching) stays on the
     # interface's own code.
 
-    def _make_forward(self, instr):
+    def _make_forward(self, pc, instr):
         """Return ``(forward, decode)`` for a known-forwarded,
         never-annulled instruction: ``forward(packet, now)`` is the
         fused equivalent of ``on_commit`` with the policy and ack mode
         resolved now, and ``decode`` is the instruction's static DECODE
         bits, which the packet builder ORs the incoming carry into.
-        Telemetry sinks are structurally ``None`` here: the fused
-        engine only runs with tracing and metrics disabled."""
+
+        ``forward`` records what ``on_commit`` records, in its order,
+        for whichever of the interface's sinks is live: the
+        ``stall.fifo_full`` span or ``fifo.drop`` instant, the
+        ``fabric.packet_latency`` observation, the ``packet.<class>``
+        span and the ``stall.ack`` span.  With both sinks off that is
+        a few ``is not None`` checks per forwarded packet.  (The
+        per-commit counters need no code here: they are derived from
+        ``iface.stats``.)"""
         klass = instr.instr_class
         iface = self.system.interface
         policy = iface.cfgr.policy(klass)
@@ -614,6 +624,11 @@ class HandlerTable:
         time_until_space = fifo.time_until_space
         push = fifo.push
         service = iface._service
+        # The interface's own telemetry sinks, read once per build.
+        tracer = iface._tracer
+        latency = iface._h_service
+
+        packet_name = f"packet.{klass.name.lower()}"
 
         def forward(packet, now):
             stats = iface.stats
@@ -623,18 +638,31 @@ class HandlerTable:
                 if best_effort:
                     stats.dropped += 1
                     fifo.stats.dropped += 1
+                    if tracer is not None:
+                        tracer.instant(now, "fifo", "fifo.drop", pc=pc)
                     return now
                 stats.fifo_stall_cycles += wait
                 fifo.stats.full_stall_cycles += wait
+                if tracer is not None:
+                    tracer.span(now, wait, "core", "stall.fifo_full",
+                                pc=pc)
                 now += wait
             stats.forwarded += 1
             by_class = stats.forwarded_by_class
             by_class[klass] = by_class.get(klass, 0) + 1
             drain = service(packet, now)
             push(now, drain)
+            if latency is not None:
+                latency.observe(drain - now)
+            if tracer is not None:
+                tracer.span(now, drain - now, "fabric", packet_name,
+                            pc=pc)
             if needs_ack:
                 ack_at = drain + sync
                 stats.ack_stall_cycles += ack_at - now
+                if tracer is not None:
+                    tracer.span(now, ack_at - now, "core", "stall.ack",
+                                pc=pc)
                 now = ack_at
             return now
 
@@ -642,12 +670,12 @@ class HandlerTable:
 
     def _make_alu_simple_fwd(self, pc, word, instr, valfn, latency):
         (cpu, timing, iface, regs_read, regs_write, phys,
-         icache_read, refill) = self._context()
+         icache_read, icache_miss) = self._context()
         rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
         use_imm = instr.use_imm
         imm = instr.imm & MASK32
         klass = instr.instr_class
-        forward, decode = self._make_forward(instr)
+        forward, decode = self._make_forward(pc, instr)
 
         def handler(now):
             a = regs_read(rs1)
@@ -667,9 +695,7 @@ class HandlerTable:
             ts.instructions += 1
             now = int(now)
             if not icache_read(pc):
-                done = refill(now, "core-ifetch")
-                ts.icache_stall += done - now
-                now = done
+                now = icache_miss(now, pc)
             base = latency
             dest = timing._pending_load_dest
             if dest > 0 and (phys(rs1) == dest
@@ -686,13 +712,13 @@ class HandlerTable:
 
     def _make_alu_full_fwd(self, pc, word, instr, latency):
         (cpu, timing, iface, regs_read, regs_write, phys,
-         icache_read, refill) = self._context()
+         icache_read, icache_miss) = self._context()
         rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
         use_imm = instr.use_imm
         imm = instr.imm & MASK32
         op3 = instr.opcode
         klass = instr.instr_class
-        forward, decode = self._make_forward(instr)
+        forward, decode = self._make_forward(pc, instr)
 
         def handler(now):
             a = regs_read(rs1)
@@ -717,9 +743,7 @@ class HandlerTable:
             ts.instructions += 1
             now = int(now)
             if not icache_read(pc):
-                done = refill(now, "core-ifetch")
-                ts.icache_stall += done - now
-                now = done
+                now = icache_miss(now, pc)
             base = latency
             dest = timing._pending_load_dest
             if dest > 0 and (phys(rs1) == dest
@@ -736,14 +760,15 @@ class HandlerTable:
 
     def _make_load_fwd(self, pc, word, instr, latency):
         (cpu, timing, iface, regs_read, regs_write, phys,
-         icache_read, refill) = self._context()
+         icache_read, icache_miss) = self._context()
         rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
         use_imm = instr.use_imm
         imm = instr.imm & MASK32
         op3 = instr.opcode
         klass = instr.instr_class
-        forward, decode = self._make_forward(instr)
+        forward, decode = self._make_forward(pc, instr)
         dcache_read = timing.dcache.read
+        dcache_miss = timing.dcache_miss
         memory = self.system.memory
         read_word = self._read_word
         read_byte = memory.read_byte
@@ -783,9 +808,7 @@ class HandlerTable:
             ts.instructions += 1
             now = int(now)
             if not icache_read(pc):
-                done = refill(now, "core-ifetch")
-                ts.icache_stall += done - now
-                now = done
+                now = icache_miss(now, pc)
             base = latency
             dest = timing._pending_load_dest
             if dest > 0 and (phys(rs1) == dest
@@ -796,9 +819,7 @@ class HandlerTable:
             ts.base_cycles += base
             now += base
             if not dcache_read(addr):
-                done = refill(now, "core-dcache")
-                ts.dcache_stall += done - now
-                now = done
+                now = dcache_miss(now, pc, addr)
             ts.cycles = now
             return forward(packet, now)
 
@@ -806,15 +827,16 @@ class HandlerTable:
 
     def _make_store_fwd(self, pc, word, instr, latency):
         (cpu, timing, iface, regs_read, regs_write, phys,
-         icache_read, refill) = self._context()
+         icache_read, icache_miss) = self._context()
         rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
         use_imm = instr.use_imm
         imm = instr.imm & MASK32
         op3 = instr.opcode
         klass = instr.instr_class
-        forward, decode = self._make_forward(instr)
+        forward, decode = self._make_forward(pc, instr)
         dcache_write = timing.dcache.write
         sb_push = timing.store_buffer.push
+        store_stall = timing.store_stall
         memory = self.system.memory
         if op3 == Op3Mem.ST:
             storefn = self._write_word
@@ -846,9 +868,7 @@ class HandlerTable:
             ts.instructions += 1
             now = int(now)
             if not icache_read(pc):
-                done = refill(now, "core-ifetch")
-                ts.icache_stall += done - now
-                now = done
+                now = icache_miss(now, pc)
             base = latency
             dest = timing._pending_load_dest
             if dest > 0 and (phys(rs1) == dest
@@ -861,8 +881,8 @@ class HandlerTable:
             now += base
             dcache_write(addr)
             proceed = sb_push(now)
-            ts.store_stall += proceed - now
-            now = proceed
+            if proceed > now:
+                now = store_stall(now, proceed, pc)
             ts.cycles = now
             return forward(packet, now)
 
@@ -870,13 +890,13 @@ class HandlerTable:
 
     def _make_branch_fwd(self, pc, word, instr, latency):
         (cpu, timing, iface, _regs_read, _regs_write, _phys,
-         icache_read, refill) = self._context()
+         icache_read, icache_miss) = self._context()
         cond_eval = _COND_EVAL[instr.cond]
         target = (pc + 4 * instr.disp) & MASK32
         annul = instr.annul
         annul_taken = instr.annul and instr.cond == Cond.BA
         klass = instr.instr_class
-        forward, decode = self._make_forward(instr)
+        forward, decode = self._make_forward(pc, instr)
 
         def handler(now):
             codes = cpu.codes
@@ -901,9 +921,7 @@ class HandlerTable:
             ts.instructions += 1
             now = int(now)
             if not icache_read(pc):
-                done = refill(now, "core-ifetch")
-                ts.icache_stall += done - now
-                now = done
+                now = icache_miss(now, pc)
             timing._pending_load_dest = -1
             ts.base_cycles += latency
             now += latency
@@ -914,11 +932,11 @@ class HandlerTable:
 
     def _make_sethi_fwd(self, pc, word, instr, latency):
         (cpu, timing, iface, _regs_read, regs_write, phys,
-         icache_read, refill) = self._context()
+         icache_read, icache_miss) = self._context()
         rd = instr.rd
         value = (instr.imm << 10) & MASK32
         klass = instr.instr_class
-        forward, decode = self._make_forward(instr)
+        forward, decode = self._make_forward(pc, instr)
 
         def handler(now):
             regs_write(rd, value)
@@ -934,9 +952,7 @@ class HandlerTable:
             ts.instructions += 1
             now = int(now)
             if not icache_read(pc):
-                done = refill(now, "core-ifetch")
-                ts.icache_stall += done - now
-                now = done
+                now = icache_miss(now, pc)
             timing._pending_load_dest = -1
             ts.base_cycles += latency
             now += latency
@@ -947,10 +963,10 @@ class HandlerTable:
 
     def _make_call_fwd(self, pc, word, instr, latency):
         (cpu, timing, iface, _regs_read, regs_write, phys,
-         icache_read, refill) = self._context()
+         icache_read, icache_miss) = self._context()
         target = (pc + 4 * instr.disp) & MASK32
         klass = instr.instr_class
-        forward, decode = self._make_forward(instr)
+        forward, decode = self._make_forward(pc, instr)
 
         def handler(now):
             regs_write(15, pc)  # %o7 <- address of the call
@@ -966,9 +982,7 @@ class HandlerTable:
             ts.instructions += 1
             now = int(now)
             if not icache_read(pc):
-                done = refill(now, "core-ifetch")
-                ts.icache_stall += done - now
-                now = done
+                now = icache_miss(now, pc)
             timing._pending_load_dest = -1
             ts.base_cycles += latency
             now += latency

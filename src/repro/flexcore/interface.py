@@ -33,6 +33,7 @@ from repro.flexcore.packet import TracePacket
 from repro.isa.opcodes import FlexOpf, InstrClass
 from repro.memory.bus import SharedBus
 from repro.memory.cache import META_CACHE_CONFIG, CacheConfig, MetadataCache
+from repro.telemetry.metrics import StatsCounters
 
 if TYPE_CHECKING:
     from repro.extensions.base import MonitorExtension, MonitorTrap
@@ -113,6 +114,16 @@ class InterfaceStats:
         return self.forwarded / self.committed if self.committed else 0.0
 
 
+#: metrics counters derived from :class:`InterfaceStats` fields.
+INTERFACE_COUNTERS = {
+    "iface.forwarded": "forwarded",
+    "iface.ignored": "ignored",
+    "iface.dropped": "dropped",
+    "iface.fifo_stall_cycles": "fifo_stall_cycles",
+    "iface.ack_stall_cycles": "ack_stall_cycles",
+}
+
+
 class CoreFabricInterface:
     """FIFO interface + fabric service model for one extension."""
 
@@ -146,6 +157,8 @@ class CoreFabricInterface:
         # Telemetry sinks, resolved once; every use sits inside a
         # branch the interface takes anyway (forward/drop/stall), so
         # the disabled default costs one None check per event at most.
+        # The per-commit counters are derived from ``stats`` (see
+        # ``flush_metrics``).
         self._tracer = telemetry.tracer if telemetry is not None else None
         metrics = (telemetry.metrics
                    if telemetry is not None and telemetry.metrics.enabled
@@ -153,24 +166,15 @@ class CoreFabricInterface:
         if telemetry is not None:
             self.fifo.attach_telemetry(telemetry)
         if metrics is not None:
-            self._m_forwarded = metrics.counter("iface.forwarded")
-            self._m_ignored = metrics.counter("iface.ignored")
-            self._m_dropped = metrics.counter("iface.dropped")
-            self._m_fifo_stall = metrics.counter(
-                "iface.fifo_stall_cycles"
-            )
-            self._m_ack_stall = metrics.counter("iface.ack_stall_cycles")
+            self._counters = StatsCounters(metrics, INTERFACE_COUNTERS,
+                                           self.stats)
             self._m_meta_refill = metrics.counter("mcache.refill_cycles")
             self._h_service = metrics.histogram(
                 "fabric.packet_latency",
                 buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
             )
         else:
-            self._m_forwarded = None
-            self._m_ignored = None
-            self._m_dropped = None
-            self._m_fifo_stall = None
-            self._m_ack_stall = None
+            self._counters = None
             self._m_meta_refill = None
             self._h_service = None
 
@@ -261,8 +265,6 @@ class CoreFabricInterface:
         policy = self.cfgr.policy(instr_class)
         if policy == ForwardPolicy.IGNORE:
             stats.ignored += 1
-            if self._m_ignored is not None:
-                self._m_ignored.inc()
             return now
 
         # The "read from co-processor" instruction always needs the
@@ -283,16 +285,12 @@ class CoreFabricInterface:
                 if self._tracer is not None:
                     self._tracer.instant(now, "fifo", "fifo.drop",
                                          pc=record.pc)
-                if self._m_dropped is not None:
-                    self._m_dropped.inc()
                 return now
             stats.fifo_stall_cycles += wait
             self.fifo.stats.full_stall_cycles += wait
             if self._tracer is not None:
                 self._tracer.span(now, wait, "core", "stall.fifo_full",
                                   pc=record.pc)
-            if self._m_fifo_stall is not None:
-                self._m_fifo_stall.inc(wait)
             now += wait
 
         packet = TracePacket.from_commit(record)
@@ -302,8 +300,7 @@ class CoreFabricInterface:
         )
         drain = self._service(packet, now)
         self.fifo.push(now, drain)
-        if self._m_forwarded is not None:
-            self._m_forwarded.inc()
+        if self._h_service is not None:
             self._h_service.observe(drain - now)
         if self._tracer is not None:
             # Packet lifecycle: enqueue at commit, serviced at drain.
@@ -318,8 +315,6 @@ class CoreFabricInterface:
             if self._tracer is not None:
                 self._tracer.span(now, ack_at - now, "core",
                                   "stall.ack", pc=record.pc)
-            if self._m_ack_stall is not None:
-                self._m_ack_stall.inc(ack_at - now)
             now = ack_at
         return now
 
@@ -373,9 +368,16 @@ class CoreFabricInterface:
             "tlb": list(self._tlb),
         }
 
+    def flush_metrics(self) -> None:
+        """Add the stats gained since the last flush to the metrics
+        counters (a no-op without a live registry)."""
+        if self._counters is not None:
+            self._counters.flush(self.stats)
+
     def restore_state(self, state: dict) -> None:
         from repro.extensions.base import MonitorTrap
 
+        self.flush_metrics()
         saved = state["stats"]
         self.stats = InterfaceStats(
             committed=saved["committed"],
@@ -391,6 +393,8 @@ class CoreFabricInterface:
             meta_stall_cycles=saved["meta_stall_cycles"],
             fabric_busy_cycles=saved["fabric_busy_cycles"],
         )
+        if self._counters is not None:
+            self._counters.rebase(self.stats)
         self.fifo.restore_state(state["fifo"])
         self.meta_cache.restore_state(state["meta_cache"])
         self.cfgr = ForwardConfig.decode(state["cfgr"])

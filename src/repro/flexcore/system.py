@@ -51,9 +51,10 @@ DEFAULT_RECOVERY_LIMIT = 3
 #: handler closure (see :mod:`repro.engine`); ``reference`` is the
 #: original step/advance/on_commit loop and the oracle the fused
 #: engine is tested against.  Results are bit-identical — the
-#: differential and golden tests enforce it — and ``fast`` silently
-#: falls back to the reference loop whenever record hooks or live
-#: telemetry need to observe every commit record.
+#: differential and golden tests enforce it.  Metrics and tracing run
+#: on either engine with identical observations; ``fast`` silently
+#: falls back to the reference loop only when record hooks need to
+#: observe every commit record.
 ENGINES = ("fast", "reference")
 
 
@@ -306,18 +307,13 @@ class FlexCoreSystem:
     def _fast_loop_supported(self) -> bool:
         """Whether the fused loop can run without losing observers.
 
-        Record hooks must see every :class:`CommitRecord`, and live
-        telemetry (metrics or a tracer) counts events the fused
-        closures skip, so either forces the reference loop.  The
-        *results* are bit-identical regardless — this only preserves
-        the observers' view.
+        Record hooks must see every :class:`CommitRecord`, which the
+        fused closures never build, so they force the reference loop.
+        Live telemetry does not: the fused closures record the same
+        metrics and trace events.  The *results* are bit-identical regardless
+        — this only preserves the hooks' view.
         """
-        if self.record_hooks:
-            return False
-        telemetry = self.telemetry
-        return telemetry is None or (
-            telemetry.tracer is None and not telemetry.metrics.enabled
-        )
+        return not self.record_hooks
 
     #: check the wall-clock deadline every this many instructions.
     DEADLINE_STRIDE = 4096
@@ -359,7 +355,7 @@ class FlexCoreSystem:
 
         ``engine`` overrides the config's engine for this run; the
         fast engine transparently falls back to the reference loop
-        when hooks or telemetry need every commit record (see
+        when record hooks need every commit record (see
         :meth:`_fast_loop_supported`).
         """
         if engine is None:
@@ -415,6 +411,9 @@ class FlexCoreSystem:
         if (self.telemetry is not None
                 and self.telemetry.metrics.enabled):
             metrics = self.telemetry.metrics
+            core_timing.flush_metrics()
+            if interface is not None:
+                interface.flush_metrics()
             metrics.gauge("system.cycles").set(int(now))
             metrics.gauge("system.instructions").set(cpu.instret)
             metrics.counter("system.rollbacks").inc(recoveries)

@@ -9,7 +9,13 @@ The design goal is that *disabled* telemetry costs nothing measurable:
 * components are wired with ``telemetry=None`` by default and guard
   every instrumentation site with a single ``is not None`` check that
   lives inside branches the timing model already takes (miss paths,
-  stall paths), never on the per-instruction fast path;
+  stall paths, the forwarded-packet path), never on the
+  per-instruction path;
+* per-commit counts (instructions, stall cycles, forwarded/ignored
+  packets) are not incremented per commit at all: :class:`StatsCounters`
+  derives them from the stats fields every engine keeps anyway, so
+  metrics add nothing to an ignored commit (a forwarded packet still
+  observes its latency and FIFO-occupancy histograms);
 * for code that wants to hold an instrument unconditionally,
   :data:`NULL_METRICS` hands out shared no-op instruments, so the call
   site stays branch-free and the no-op method is the only cost.
@@ -207,6 +213,41 @@ class MetricsRegistry:
                          else str(value))
                 lines.append(f"{name:<32} {shown}")
         return "\n".join(lines)
+
+
+class StatsCounters:
+    """Counters that mirror numeric fields of a component's stats
+    object.
+
+    A component already counts every commit into plain stats fields
+    (``CoreTimingStats.icache_stall``, ``InterfaceStats.forwarded``,
+    ...), on every engine.  Rather than increment a counter beside
+    each field on the per-instruction path, ``flush`` adds what each
+    field gained since the last flush.  The owner flushes at the end
+    of a run and just before a restore replaces its stats object, so
+    a rolled-back attempt's work is still counted, as it was done.
+
+    ``fields`` maps counter names to stats attribute names.
+    """
+
+    __slots__ = ("_pairs", "_base")
+
+    def __init__(self, metrics: MetricsRegistry, fields: dict,
+                 stats) -> None:
+        self._pairs = [(metrics.counter(name), attr)
+                       for name, attr in fields.items()]
+        self.rebase(stats)
+
+    def rebase(self, stats) -> None:
+        """Start counting from ``stats``' current values."""
+        self._base = [getattr(stats, attr) for _counter, attr
+                      in self._pairs]
+
+    def flush(self, stats) -> None:
+        """Add what ``stats`` gained since the last flush or rebase."""
+        for (counter, attr), base in zip(self._pairs, self._base):
+            counter.inc(getattr(stats, attr) - base)
+        self.rebase(stats)
 
 
 class _NullInstrument:

@@ -25,6 +25,7 @@ truncating.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 
 #: Default ring capacity: enough for ~10k instructions of a monitored
@@ -81,7 +82,14 @@ class TraceEvent:
 
 
 class EventTracer:
-    """Bounded ring buffer of :class:`TraceEvent`."""
+    """Bounded ring buffer of trace events.
+
+    The ring stores each event as a plain ``(ts, track, name, kind,
+    dur, value, args)`` tuple — the field order of
+    :class:`TraceEvent` — because recording sits on the simulator's
+    hot path and a tuple costs a fraction of a frozen dataclass.
+    :meth:`events` builds the :class:`TraceEvent` objects on read.
+    """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
@@ -89,60 +97,51 @@ class EventTracer:
                 f"tracer capacity must be positive, got {capacity}"
             )
         self.capacity = capacity
-        self._ring: list[TraceEvent | None] = [None] * capacity
-        self._head = 0  # next write slot
-        self._count = 0  # live events (<= capacity)
-        self.overwritten = 0  # events lost to wrap-around
+        self._ring: deque[tuple] = deque(maxlen=capacity)
+        self._emitted = 0  # events ever recorded
 
     # -- recording ----------------------------------------------------------
 
     def emit(self, event: TraceEvent) -> None:
-        ring = self._ring
-        head = self._head
-        if ring[head] is not None:
-            self.overwritten += 1
-        else:
-            self._count += 1
-        ring[head] = event
-        self._head = (head + 1) % self.capacity
+        self._ring.append((event.ts, event.track, event.name, event.kind,
+                           event.dur, event.value, event.args))
+        self._emitted += 1
 
     def span(self, ts: float, dur: float, track: str, name: str,
              **args) -> None:
         """A durationful event (a stall, a bus grant, a refill)."""
-        self.emit(TraceEvent(ts=ts, track=track, name=name, kind=SPAN,
-                             dur=dur, args=args))
+        self._ring.append((ts, track, name, SPAN, dur, None, args))
+        self._emitted += 1
 
     def instant(self, ts: float, track: str, name: str, **args) -> None:
         """A point event (a push, a drop, a trap)."""
-        self.emit(TraceEvent(ts=ts, track=track, name=name, args=args))
+        self._ring.append((ts, track, name, INSTANT, 0.0, None, args))
+        self._emitted += 1
 
     def counter(self, ts: float, track: str, name: str,
                 value: float) -> None:
         """A sampled value (FIFO occupancy) rendered as a counter
         track in Perfetto."""
-        self.emit(TraceEvent(ts=ts, track=track, name=name,
-                             kind=COUNTER, value=value))
+        self._ring.append((ts, track, name, COUNTER, 0.0, value, {}))
+        self._emitted += 1
 
     # -- reading ------------------------------------------------------------
 
+    @property
+    def overwritten(self) -> int:
+        """Events lost to wrap-around (the ring keeps the newest)."""
+        return self._emitted - len(self._ring)
+
     def __len__(self) -> int:
-        return self._count
+        return len(self._ring)
 
     def events(self) -> list[TraceEvent]:
         """Live events, oldest first."""
-        if self._count < self.capacity:
-            return [e for e in self._ring[: self._count]]
-        head = self._head
-        return [
-            e for e in self._ring[head:] + self._ring[:head]
-            if e is not None
-        ]
+        return [TraceEvent(*item) for item in self._ring]
 
     def clear(self) -> None:
-        self._ring = [None] * self.capacity
-        self._head = 0
-        self._count = 0
-        self.overwritten = 0
+        self._ring.clear()
+        self._emitted = 0
 
     # -- exporters ----------------------------------------------------------
 

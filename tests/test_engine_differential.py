@@ -20,7 +20,10 @@ which the timing counts in a digest cannot see.  Five layers:
   at a prime stride;
 * packet streams: every trace packet handed to the extension, on all
   its fields, including those no shipped monitor reads (digests cannot
-  see a field the extension ignores).
+  see a field the extension ignores);
+* telemetry: with a metrics registry, and with a tracer as well, the
+  fused engine still runs and records the reference loop's metrics
+  snapshot and event stream, event for event.
 """
 
 import dataclasses
@@ -46,6 +49,7 @@ from repro.flexcore.system import (
 from repro.isa.assembler import assemble
 from repro.isa.opcodes import ALU_CLASSES, InstrClass
 from repro.mdl import load_spec, shipped_specs
+from repro.telemetry import DEFAULT_CAPACITY, Telemetry
 from repro.telemetry.summary import result_fingerprint, run_digest
 from repro.workloads import build_workload, workload_names
 
@@ -584,3 +588,171 @@ def test_packet_streams_identical_with_every_class_forwarded():
                                      classes=tuple(InstrClass))
     by_class = reference.interface_stats.forwarded_by_class
     assert by_class.get(InstrClass.BRANCH, 0) > 0
+
+
+# ---------------------------------------------------------------------------
+# Layer 6: telemetry.  Looking at a run must not change which loop runs
+# it, nor what is seen: metrics and trace events are compared in full.
+
+
+class Observed(NamedTuple):
+    """One engine's telemetered run and what its sinks recorded."""
+
+    run: Run
+    metrics: dict
+    events: list | None
+    overwritten: int
+
+
+def _observed_run(program, spec, engine, trace, config=None,
+                  policy=None, classes=ALU_CLASSES,
+                  capacity=DEFAULT_CAPACITY, **bounded_kwargs):
+    telemetry = Telemetry.enabled(trace=trace, capacity=capacity)
+    system = FlexCoreSystem(program, _make_extension(spec), config,
+                            telemetry=telemetry)
+    if policy is not None:
+        system.interface.cfgr.set_classes(classes, policy)
+    result = system.run_bounded(engine=engine, **bounded_kwargs)
+    tracer = telemetry.tracer
+    return Observed(
+        Run(result, system.snapshot_state()),
+        telemetry.metrics.snapshot(),
+        None if tracer is None else [e.as_dict() for e in tracer.events()],
+        0 if tracer is None else tracer.overwritten,
+    )
+
+
+def _assert_same_telemetry(program, spec, config=None, **kwargs):
+    """Compare metrics-only and full-trace runs of both engines;
+    return the reference's full-trace observation."""
+    for trace in (False, True):
+        reference = _observed_run(program, spec, "reference", trace,
+                                  config, **kwargs)
+        fused = _observed_run(program, spec, "fast", trace, config,
+                              **kwargs)
+        assert fused.run.result.engine == "fast"
+        _assert_identical(reference.run, fused.run)
+        assert fused.metrics == reference.metrics
+        assert fused.events == reference.events
+        assert fused.overwritten == reference.overwritten
+    assert reference.events, "the traced run recorded nothing"
+    return reference
+
+
+def _event_names(observed):
+    return {event["name"] for event in observed.events}
+
+
+@pytest.mark.parametrize("extension", ("umc", "dift", "bc", "sec"))
+@pytest.mark.parametrize("workload", ("bitcount", "crc32"))
+def test_telemetry_identical(workload, extension):
+    program = build_workload(workload, 0.0625).build()
+    config = experiment_system_config(
+        clock_ratio=FLEXCORE_RATIOS[extension])
+    observed = _assert_same_telemetry(program, extension, config)
+    assert observed.metrics["iface.forwarded"] > 0
+
+
+def test_telemetry_identical_with_best_effort_drops():
+    program = build_workload("crc32", 0.0625).build()
+    config = experiment_system_config(clock_ratio=0.25, fifo_depth=2)
+    observed = _assert_same_telemetry(program, "sec", config,
+                                      policy=ForwardPolicy.BEST_EFFORT)
+    assert observed.metrics["iface.dropped"] > 0
+    assert "fifo.drop" in _event_names(observed)
+
+
+def test_telemetry_identical_with_precise_exceptions():
+    program = build_workload("bitcount", 0.0625).build()
+    config = experiment_system_config(clock_ratio=0.5)
+    config = dataclasses.replace(config, interface=dataclasses.replace(
+        config.interface, precise_exceptions=True))
+    observed = _assert_same_telemetry(program, "dift", config)
+    assert observed.metrics["iface.ack_stall_cycles"] > 0
+    assert "stall.ack" in _event_names(observed)
+
+
+def test_telemetry_identical_across_rollbacks():
+    """Counters keep the work of rolled-back attempts, and the
+    rollback span lands where the reference loop puts it."""
+    program = assemble(_TRAPPING_SOURCE, entry="start")
+    observed = _assert_same_telemetry(
+        program, "umc", checkpoint_every=2, recover=True,
+        recovery_limit=3)
+    assert observed.run.result.recoveries > 0
+    assert observed.metrics["system.rollbacks"] > 0
+    # The rolled-back attempts' instructions were executed too.
+    assert (observed.metrics["core.instructions"]
+            > observed.run.result.instructions)
+    assert "monitor.rollback" in _event_names(observed)
+
+
+_ANNULLED_SOURCE = """
+        .text
+start:
+        mov     40, %g5
+loop:
+        subcc   %g5, 20, %g0
+        bl,a    low                ! annulled slot when not taken
+        add     %g1, 1, %g1
+        ba,a    next               ! annulled slot, always
+        add     %g2, 1, %g2
+low:
+        add     %g3, 1, %g3
+next:
+        subcc   %g5, 1, %g5
+        bne     loop
+        nop
+        ta      0
+        nop
+"""
+
+
+@pytest.mark.parametrize("extension", (None, "dift"))
+def test_telemetry_identical_with_annulled_slots(extension):
+    program = assemble(_ANNULLED_SOURCE, entry="start")
+    observed = _assert_same_telemetry(program, extension)
+    assert observed.metrics["core.annulled_slots"] > 0
+
+
+def test_telemetry_identical_with_checkpoints():
+    program = build_workload("bitcount", 0.0625).build()
+    _assert_same_telemetry(program, "umc", checkpoint_every=997)
+
+
+def test_telemetry_identical_when_the_ring_wraps():
+    program = build_workload("crc32", 0.0625).build()
+    config = experiment_system_config(clock_ratio=0.25)
+    observed = _assert_same_telemetry(program, "sec", config,
+                                      capacity=256)
+    assert len(observed.events) == 256
+    assert observed.overwritten > 0
+
+
+#: two back-to-back double stores per iteration fill the store buffer,
+#: so the second store of an STD stalls too.
+STD_SOURCE = """
+        .text
+start:
+        set     buf, %g1
+        set     200, %o2
+loop:
+        std     %o0, [%g1]
+        std     %o4, [%g1 + 8]
+        subcc   %o2, 1, %o2
+        bne     loop
+        nop
+        ta      0
+        nop
+        .data
+        .align  8
+buf:
+        .space  16
+"""
+
+
+@pytest.mark.parametrize("extension", (None, "umc"))
+def test_telemetry_identical_with_double_stores(extension):
+    program = assemble(STD_SOURCE, entry="start")
+    observed = _assert_same_telemetry(program, extension)
+    assert observed.metrics["core.store_stall_cycles"] > 0

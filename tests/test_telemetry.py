@@ -231,6 +231,34 @@ class TestInvariance:
         assert run_digest(bare) == run_digest(traced) == \
             run_digest(metered)
 
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_store_buffer_spans_cover_every_store_stall(self, engine):
+        # Each STD pushes two words into the store buffer; the second
+        # push stalls too, and its stall must be traced like the first.
+        doubles = assemble("""
+                .text
+        start:  set     buf, %g1
+                set     200, %o2
+        loop:   std     %o0, [%g1]
+                std     %o4, [%g1 + 8]
+                subcc   %o2, 1, %o2
+                bne     loop
+                nop
+                ta      0
+                nop
+                .data
+                .align  8
+        buf:    .space  16
+        """, entry="start")
+        telemetry = Telemetry.enabled(trace=True)
+        result = run_program(doubles, telemetry=telemetry, engine=engine)
+        assert telemetry.tracer.overwritten == 0
+        traced = sum(e.dur for e in telemetry.tracer.events()
+                     if e.name == "stall.store_buffer")
+        counted = telemetry.metrics.snapshot()["core.store_stall_cycles"]
+        assert result.core_stats.store_stall > 0
+        assert traced == counted == result.core_stats.store_stall
+
     def test_digest_sensitive_to_config(self):
         ext = create_extension("sec")
         slow = run_program(program(), ext, clock_ratio=0.25,
